@@ -15,13 +15,12 @@ about and test the predicted ordering across seeds.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import data as dt
+from ._atomic import atomic_write
 from .diagnostics import (
     directional_sensitivity,
     jac_frobenius_fd,
@@ -39,8 +38,9 @@ from .network import (
     batch_encoder_jacobians,
     forward_with_trace,
 )
-from .objectives import PgdConfig, TrainConfig, WarmupSchedule, train
-from .rng import RngState, derive, gaussian_matrix, normal, uniform
+from .experiments import ExperimentConfig, default_config
+from .objectives import TrainConfig, train
+from .rng import derive, gaussian_matrix, normal, uniform
 
 
 @dataclass
@@ -70,17 +70,8 @@ class CheckReport:
 
 
 def write_reports(reports: list[CheckReport], path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".json.tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            json.dump([r.to_dict() for r in reports], f, indent=2, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    text = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
+    atomic_write(path, text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +81,6 @@ def write_reports(reports: list[CheckReport], path: str) -> None:
 
 def default_model(rho: float = 0.5, sigma_eps: float = 0.1) -> dt.GaussianNuisanceModel:
     return dt.GaussianNuisanceModel.canonical(8, 8, rho, sigma_eps)
-
-
-def default_task_spec(out_dim: int = 1) -> NetSpec:
-    """Default behavioral-experiment architecture: 2 tanh layers of width 32
-    down to a 16-dim representation."""
-    return NetSpec(input_dim=16, hidden=(32,), rep_dim=16, out_dim=out_dim, activation="tanh")
 
 
 def dependent_toy(strength: float = 0.8) -> dt.DiscreteNuisanceToy:
@@ -472,26 +457,16 @@ def check_cap_fixed_point(
     """Steady-state penalty fraction equals cap/(1+cap) for every cap.
 
     Targets for the default grid: 0.091, 0.130, 0.200, 0.231, 0.286, 0.375.
-    Steady state is the final 20% of steps.
+    Steady state is the final 20% of steps.  Training is the capsweep
+    experiment's PMH setup at the given seed and length.
     """
-    model = default_model()
-    spec = default_task_spec()
-    source = dt.model_batch_source(model)
+    config = default_config("capsweep", seed=seed, steps=steps)
     measured = {}
     bounds = {}
     ok = True
     for cap in caps:
-        cfg = TrainConfig(
-            objective="pmh",
-            sigma_train=0.1,
-            cap=cap,
-            warmup=WarmupSchedule(t0=int(0.1 * steps), duration=int(0.3 * steps)),
-            lr=0.05,
-            steps=steps,
-            batch_size=32,
-            seed=seed,
-        )
-        _, log = train(cfg, spec, source)
+        cfg = replace(config.train_config("pmh", seed), cap=cap)
+        _, log = train(cfg, config.net_spec(), config.data_source())
         frac = log.steady_state_fraction()
         target = cap / (1.0 + cap)
         measured[f"fraction_cap={cap:g}"] = frac
@@ -700,69 +675,13 @@ def check_suppression_cost_exact(
     )
 
 
-def _classification_source(model: dt.GaussianNuisanceModel):
-    def source(rng, n):
-        batch, rng = dt.sample(model, n, rng)
-        return batch.x, dt.threshold_labels(batch.y), rng
-
-    return source
-
-
-@dataclass(frozen=True)
-class ComparisonSettings:
-    """Matched-training setup for the behavioral geometry comparisons.
-
-    The task is the default correlated-nuisance model with sign labels and
-    cross-entropy loss: under cross-entropy the plain-ERM encoder inflates
-    its Jacobian (logit growth), which is the regime where adversarial
-    training visibly redistributes sensitivity.
-    """
-
-    steps: int = 20000
-    lr: float = 0.15
-    batch_size: int = 32
-    pgd_epsilon: float = 0.3
-    pgd_steps: int = 20
-    sigma_train: float = 0.1
-    cap: float = 0.3
-    eval_rows: int = 512
-    tdi_draws: int = 48
-
-
 def _train_and_measure(
-    objective: str, seed: int, settings: ComparisonSettings
+    objective: str, seed: int, config: ExperimentConfig
 ) -> tuple[MlpEncoderDecoder, float, float]:
     """Train one objective and return (net, tdi_at_0, fd_frobenius_sq)."""
-    model = default_model()
-    spec = default_task_spec(out_dim=2)
-    base = dict(
-        lr=settings.lr,
-        steps=settings.steps,
-        batch_size=settings.batch_size,
-        seed=seed,
-        loss="cross-entropy",
-    )
-    if objective == "erm":
-        cfg = TrainConfig(objective="erm", **base)
-    elif objective == "pgd":
-        cfg = TrainConfig(
-            objective="pgd",
-            pgd=PgdConfig(epsilon=settings.pgd_epsilon, steps=settings.pgd_steps),
-            **base,
-        )
-    else:
-        cfg = TrainConfig(
-            objective="pmh",
-            sigma_train=settings.sigma_train,
-            cap=settings.cap,
-            warmup=WarmupSchedule(
-                t0=int(0.1 * settings.steps), duration=int(0.3 * settings.steps)
-            ),
-            **base,
-        )
-    net, _ = train(cfg, spec, _classification_source(model))
-    eval_batch, _ = dt.sample(model, settings.eval_rows, derive(seed, "eval", objective))
-    res, _ = tdi(net, eval_batch.x, 0.0, settings.tdi_draws, derive(seed, "tdi", objective))
+    net, _ = train(config.train_config(objective, seed), config.net_spec(), config.data_source())
+    eval_batch, _ = dt.sample(config.model(), config.eval_rows, derive(seed, "eval", objective))
+    res, _ = tdi(net, eval_batch.x, 0.0, config.mc_draws, derive(seed, "tdi", objective))
     fro = jac_frobenius_fd(net, eval_batch.x[:256], eval_batch.x.shape[1], 0.01)
     return net, res.value, fro.unbiased.value
 
@@ -770,7 +689,7 @@ def _train_and_measure(
 def check_adversarial_geometry_signature(
     seed: int = 0,
     n_seeds: int = 5,
-    settings: ComparisonSettings | None = None,
+    config: ExperimentConfig = ExperimentConfig(kind="compare", mc_draws=48),
 ) -> CheckReport:
     """Adversarial training's qualitative geometry signature across seeds.
 
@@ -779,16 +698,22 @@ def check_adversarial_geometry_signature(
     Jacobian Frobenius norm than ERM while its clean-input TDI is not below
     ERM's; and PMH's TDI does not exceed ERM's.  Each half must hold on a
     majority (>= 3 of 5) of seeds; single-seed training noise is expected.
+
+    Training is the compare experiment's setup (config): the default
+    correlated-nuisance model with sign labels and cross-entropy loss, under
+    which the plain-ERM encoder inflates its Jacobian (logit growth), the
+    regime where adversarial training visibly redistributes sensitivity.
+    Every objective trains at seeds seed .. seed + n_seeds - 1; TDI uses
+    config.mc_draws draws on config.eval_rows rows.
     """
-    settings = settings or ComparisonSettings()
     seeds = tuple(range(seed, seed + n_seeds))
     per_seed = {}
     pgd_hits = 0
     pmh_hits = 0
     for seed in seeds:
-        _, tdi_erm, fro_erm = _train_and_measure("erm", seed, settings)
-        _, tdi_pgd, fro_pgd = _train_and_measure("pgd", seed, settings)
-        _, tdi_pmh, fro_pmh = _train_and_measure("pmh", seed, settings)
+        _, tdi_erm, fro_erm = _train_and_measure("erm", seed, config)
+        _, tdi_pgd, fro_pgd = _train_and_measure("pgd", seed, config)
+        _, tdi_pmh, fro_pmh = _train_and_measure("pmh", seed, config)
         pgd_sig = fro_pgd < fro_erm and tdi_pgd >= tdi_erm
         pmh_sig = tdi_pmh <= tdi_erm
         pgd_hits += int(pgd_sig)
@@ -814,7 +739,7 @@ def check_adversarial_geometry_signature(
         passed=passed,
         measured={"pgd_signature_seeds": pgd_hits, "pmh_signature_seeds": pmh_hits, **flat},
         bounds={"majority_needed": need, "total_seeds": len(seeds)},
-        n_samples={"train_steps": settings.steps, "seeds": len(seeds)},
+        n_samples={"train_steps": config.steps, "seeds": len(seeds)},
         seed=seeds[0],
         detail="PGD: lower Jac-Fro with TDI not below ERM; PMH: TDI <= ERM",
     )

@@ -22,12 +22,11 @@ Two data sources live here:
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .errors import ShapeError, ValidationError
 from .linalg import as_matrix, as_vector
 from .rng import RngState, normal, uniform
@@ -212,18 +211,8 @@ def export_csv(batch: LabeledBatch, path: str) -> None:
         + ["y"]
     )
     rows = np.hstack([batch.x, batch.y[:, None]])
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".csv.tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(",".join(header) + "\n")
-            for row in rows:
-                f.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,12 @@ actually used.  Denominators always use clean inputs.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .errors import (
     DegenerateDirectionError,
     UndefinedRetentionError,
@@ -480,17 +479,7 @@ class DiagnosticsReport:
         }
 
     def to_json(self, path: str) -> None:
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".json.tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-                f.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+        atomic_write(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     def csv_rows(self) -> list[tuple]:
         """Flattened (run_id, metric, sigma, value, se) rows."""
@@ -523,18 +512,11 @@ class DiagnosticsReport:
         return rows
 
     def to_csv(self, path: str) -> None:
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".csv.tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write("run_id,metric,sigma,value,se\n")
-                for run_id, metric, sigma, value, se in self.csv_rows():
-                    f.write(f"{run_id},{metric},{sigma:.17g},{value:.17g},{se:.17g}\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+        lines = ["run_id,metric,sigma,value,se"] + [
+            f"{run_id},{metric},{sigma:.17g},{value:.17g},{se:.17g}"
+            for run_id, metric, sigma, value, se in self.csv_rows()
+        ]
+        atomic_write(path, "\n".join(lines) + "\n")
 
 
 def diagnose(

@@ -15,20 +15,18 @@ from __future__ import annotations
 import configparser
 import json
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import data as dt
+from ._atomic import atomic_write
 from .diagnostics import jac_frobenius_fd, lipschitz_track, tdi
 from .errors import ConfigError, TrainingDivergedError
 from .network import NetSpec, forward_with_trace
-from .objectives import PgdConfig, TrainConfig, WarmupSchedule, train
-from .rng import RngState, derive
-
-EXPERIMENT_KINDS = ("compare", "talign", "capsweep", "multiscale", "verify", "diagnose")
+from .objectives import OBJECTIVES, PgdConfig, TrainConfig, WarmupSchedule, train
+from .rng import derive
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +68,13 @@ class ExperimentConfig:
     seeds_per_cell: int = 5
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in RUNNERS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if self.loss not in ("mse", "cross-entropy"):
+            raise ConfigError(f"loss must be 'mse' or 'cross-entropy', got {self.loss!r}")
+        unknown = [m for m in self.methods if m not in OBJECTIVES]
+        if unknown:
+            raise ConfigError(f"unknown methods {unknown}; expected some of {list(OBJECTIVES)}")
         grid = self.sigma_eval
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("sigma_eval grid must be strictly increasing")
@@ -80,6 +83,17 @@ class ExperimentConfig:
 
     def model(self) -> dt.GaussianNuisanceModel:
         return dt.GaussianNuisanceModel.canonical(self.d_s, self.d_n, self.rho, self.sigma_eps)
+
+    def data_source(self):
+        """Batch source of the task: sign labels under cross-entropy, the
+        continuous target otherwise."""
+        model = self.model()
+        if self.loss == "cross-entropy":
+            def source(rng, n):
+                batch, rng = dt.sample(model, n, rng)
+                return batch.x, dt.threshold_labels(batch.y), rng
+            return source
+        return dt.model_batch_source(model)
 
     def net_spec(self) -> NetSpec:
         out_dim = 2 if self.loss == "cross-entropy" else 1
@@ -236,6 +250,17 @@ class ResultTable:
     def get(self, row: str, col: str) -> tuple:
         return self.cells[(row, col)]
 
+    def fill(self, row: str, result: dict) -> None:
+        """Copy one cell result, keyed by column label, into a row.  A failed
+        result is listed in failed_rows and fills the row with NaN."""
+        if result.get("failed"):
+            self.failed_rows.append(row)
+            for c in self.col_keys:
+                self.set(row, c, float("nan"), float("nan"))
+            return
+        for c in self.col_keys:
+            self.set(row, c, *result[c])
+
     def validate_rectangular(self) -> None:
         for r in self.row_keys:
             if r in self.failed_rows:
@@ -257,20 +282,6 @@ class ResultTable:
         }
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 CSV_HEADER = "experiment,row_key,col_key,value,se,seed"
 
 
@@ -280,6 +291,7 @@ def emit(table: ResultTable, outdir: str, formats: tuple = ("csv", "json")) -> l
     CSV rows follow the schema ``experiment,row_key,col_key,value,se,seed``;
     JSON mirrors the table structure.  Writes are atomic.
     """
+    os.makedirs(os.path.abspath(outdir), exist_ok=True)
     written = []
     base = os.path.join(outdir, table.experiment)
     if "csv" in formats:
@@ -290,17 +302,18 @@ def emit(table: ResultTable, outdir: str, formats: tuple = ("csv", "json")) -> l
                     v, se = table.cells[(r, c)]
                     lines.append(f"{table.experiment},{r},{c},{v:.17g},{se:.17g},{table.seed}")
         path = base + ".csv"
-        _atomic_write(path, "\n".join(lines) + "\n")
+        atomic_write(path, "\n".join(lines) + "\n")
         written.append(path)
     if "json" in formats:
         path = base + ".json"
-        _atomic_write(path, json.dumps(table.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        atomic_write(path, json.dumps(table.to_json_dict(), indent=2, sort_keys=True) + "\n")
         written.append(path)
     return written
 
 
 def parse_table_csv(path: str) -> ResultTable:
-    """Inverse of the CSV emitter; round-trips tables exactly."""
+    """Inverse of the CSV emitter; round-trips tables exactly.  A row whose
+    every cell holds NaN with a NaN SE is a failed row (see ResultTable.fill)."""
     with open(path) as f:
         lines = [ln.rstrip("\n") for ln in f if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
@@ -321,8 +334,10 @@ def parse_table_csv(path: str) -> ResultTable:
             cols.append(c)
         cells[(r, c)] = (float(v), float(se))
         seed = int(seed_s)
-    table = ResultTable(experiment, rows, cols, cells, seed)
-    return table
+    failed = [
+        r for r in rows if all(np.isnan(cells[(r, c)]).all() for c in cols if (r, c) in cells)
+    ]
+    return ResultTable(experiment, rows, cols, cells, seed, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +372,6 @@ def _run_cells(fn, cells: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _data_source(config: ExperimentConfig):
-    model = config.model()
-    if config.loss == "cross-entropy":
-        def source(rng, n):
-            batch, rng = dt.sample(model, n, rng)
-            return batch.x, dt.threshold_labels(batch.y), rng
-        return source
-    return dt.model_batch_source(model)
-
-
 def _eval_inputs(config: ExperimentConfig) -> np.ndarray:
     batch, _ = dt.sample(config.model(), config.eval_rows, derive(config.seed, "eval-batch"))
     return batch.x
@@ -374,7 +379,7 @@ def _eval_inputs(config: ExperimentConfig) -> np.ndarray:
 
 def _compare_cell(config: ExperimentConfig, method: str, seed: int) -> dict:
     """Train one method and measure the comparison metrics."""
-    source = _data_source(config)
+    source = config.data_source()
     x_eval = _eval_inputs(config)
     try:
         net, log = train(config.train_config(method, seed), config.net_spec(), source)
@@ -408,20 +413,13 @@ def run_compare(config: ExperimentConfig) -> ResultTable:
     table = ResultTable("compare", list(config.methods), cols, seed=config.seed)
     cells = [(config, m, config.seed) for m in config.methods]
     for method, metrics in zip(config.methods, _run_cells(_compare_cell, cells)):
-        if metrics.get("failed"):
-            table.failed_rows.append(method)
-            for c in cols:
-                table.set(method, c, float("nan"), float("nan"))
-            continue
-        for c in cols:
-            v, se = metrics[c]
-            table.set(method, c, v, se)
+        table.fill(method, metrics)
     table.validate_rectangular()
     return table
 
 
 def _talign_cell(config: ExperimentConfig, sigma_train: float, seed: int) -> dict:
-    source = _data_source(config)
+    source = config.data_source()
     x_eval = _eval_inputs(config)
     try:
         net, _ = train(
@@ -434,7 +432,7 @@ def _talign_cell(config: ExperimentConfig, sigma_train: float, seed: int) -> dic
     out = {"failed": False}
     for s in config.sigma_eval:
         res, _ = tdi(net, x_eval, float(s), config.mc_draws, derive(seed, "talign", sigma_train, s))
-        out[f"{s:g}"] = (res.value, res.se)
+        out[f"eval@{s:g}"] = (res.value, res.se)
     return out
 
 
@@ -499,12 +497,10 @@ def run_talign(config: ExperimentConfig) -> ResultTable:
     for i, row in enumerate(row_keys):
         runs = [res for res in results[i * k:(i + 1) * k] if not res.get("failed")]
         if not runs:
-            table.failed_rows.append(row)
-            for c in col_keys:
-                table.set(row, c, float("nan"), float("nan"))
+            table.fill(row, {"failed": True})
             continue
-        for j, (c, s) in enumerate(zip(col_keys, grid_e)):
-            arr = np.array([res[f"{s:g}"][0] for res in runs])
+        for j, c in enumerate(col_keys):
+            arr = np.array([res[c][0] for res in runs])
             mean[i, j] = arr.mean()
             sem = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else 0.0
             table.set(row, c, mean[i, j], sem)
@@ -583,7 +579,7 @@ def alignment_verdict(config: ExperimentConfig, table: ResultTable) -> Alignment
 
 
 def _capsweep_cell(config: ExperimentConfig, cap: float, seed: int) -> dict:
-    source = _data_source(config)
+    source = config.data_source()
     x_eval = _eval_inputs(config)
     cfg = replace(config.train_config("pmh", seed), cap=cap)
     try:
@@ -606,21 +602,10 @@ def run_capsweep(config: ExperimentConfig) -> ResultTable:
     row_keys = [f"cap@{c:g}" for c in config.cap_grid]
     table = ResultTable("capsweep", row_keys, cols, seed=config.seed)
     cells = [(config, cap, config.seed) for cap in config.cap_grid]
-    for row, cap, res in zip(row_keys, config.cap_grid, _run_cells(_capsweep_cell, cells)):
-        if res.get("failed"):
-            table.failed_rows.append(row)
-            for c in cols:
-                table.set(row, c, float("nan"), float("nan"))
-            continue
-        for c in cols:
-            v, se = res[c]
-            table.set(row, c, v, se)
+    for row, res in zip(row_keys, _run_cells(_capsweep_cell, cells)):
+        table.fill(row, res)
     table.validate_rectangular()
     return table
-
-
-def _multiscale_cell(config: ExperimentConfig, sigma_train, seed: int) -> dict:
-    return _talign_cell(config, sigma_train, seed)
 
 
 def run_multiscale(config: ExperimentConfig) -> ResultTable:
@@ -636,16 +621,8 @@ def run_multiscale(config: ExperimentConfig) -> ResultTable:
     table = ResultTable("multiscale", rows, cols, seed=config.seed)
     cells = [(config, st, derive(config.seed, "ms", st).seed) for st in grid_t]
     cells.append((config, tuple(config.sigma_range), derive(config.seed, "ms", "range").seed))
-    results = _run_cells(_multiscale_cell, cells)
-    for row, res in zip(rows, results):
-        if res.get("failed"):
-            table.failed_rows.append(row)
-            for c in cols:
-                table.set(row, c, float("nan"), float("nan"))
-            continue
-        for j, s in enumerate(config.sigma_eval):
-            v, se = res[f"{s:g}"]
-            table.set(row, cols[j], v, se)
+    for row, res in zip(rows, _run_cells(_talign_cell, cells)):
+        table.fill(row, res)
     table.validate_rectangular()
     return table
 
@@ -659,6 +636,4 @@ RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
-    if config.kind not in RUNNERS:
-        raise ConfigError(f"{config.kind!r} is not an offline experiment kind")
     return RUNNERS[config.kind](config)

@@ -178,13 +178,6 @@ class ParamGrads:
         return self
 
 
-def zero_grads(net: MlpEncoderDecoder) -> ParamGrads:
-    return ParamGrads(
-        [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in net.encoder],
-        (np.zeros_like(net.decoder.weight), np.zeros_like(net.decoder.bias)),
-    )
-
-
 def _encoder_backward_chain(
     net: MlpEncoderDecoder,
     x: np.ndarray,
@@ -331,12 +324,6 @@ def batch_encoder_jacobians(net: MlpEncoderDecoder, x) -> np.ndarray:
     return jac
 
 
-def full_jacobians(net: MlpEncoderDecoder, x) -> np.ndarray:
-    """Jacobians of the full network (decoder included), (n, out_dim, d_in)."""
-    enc = batch_encoder_jacobians(net, x)
-    return np.einsum("or,nrd->nod", net.decoder.weight, enc)
-
-
 def sgd_step(net: MlpEncoderDecoder, grads: ParamGrads, lr: float) -> None:
     for layer, (dw, db) in zip(net.encoder, grads.encoder):
         layer.weight -= lr * dw
@@ -372,22 +359,35 @@ def save_params(net: MlpEncoderDecoder, path: str) -> None:
 
 
 def load_params(path: str) -> MlpEncoderDecoder:
+    """Inverse of save_params.  A truncated or damaged file raises
+    ValidationError; sizes are checked before any read, so a corrupt header
+    cannot ask for a huge buffer."""
     with open(path, "rb") as f:
         magic = f.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValidationError(f"bad magic bytes {magic!r}; not a parameter file")
-        (n_layers,) = struct.unpack("<I", f.read(4))
-        headers = []
-        for _ in range(n_layers + 1):
-            in_dim, out_dim, tag = struct.unpack("<IIB", f.read(9))
-            if tag not in _TAG_ACT:
-                raise ValidationError(f"unknown activation tag {tag}")
-            headers.append((in_dim, out_dim, _TAG_ACT[tag]))
-        layers = []
-        for in_dim, out_dim, act in headers:
-            w = np.frombuffer(f.read(8 * in_dim * out_dim), dtype="<f8").reshape(out_dim, in_dim)
-            b = np.frombuffer(f.read(8 * out_dim), dtype="<f8")
-            layers.append(Layer(w.copy(), b.copy(), act))
-        if f.read(1):
-            raise ValidationError("trailing bytes after parameter data")
+        blob = f.read()
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise ValidationError(f"parameter file truncated: {path}")
+        pos += n
+        return blob[pos - n : pos]
+
+    (n_layers,) = struct.unpack("<I", take(4))
+    headers = []
+    for _ in range(n_layers + 1):
+        in_dim, out_dim, tag = struct.unpack("<IIB", take(9))
+        if tag not in _TAG_ACT:
+            raise ValidationError(f"unknown activation tag {tag}")
+        headers.append((in_dim, out_dim, _TAG_ACT[tag]))
+    layers = []
+    for in_dim, out_dim, act in headers:
+        w = np.frombuffer(take(8 * in_dim * out_dim), dtype="<f8").reshape(out_dim, in_dim)
+        b = np.frombuffer(take(8 * out_dim), dtype="<f8")
+        layers.append(Layer(w.copy(), b.copy(), act))
+    if pos != len(blob):
+        raise ValidationError("trailing bytes after parameter data")
     return MlpEncoderDecoder(layers[:-1], layers[-1])

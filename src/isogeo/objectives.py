@@ -19,28 +19,24 @@ to cap / (1 + cap).
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .errors import TrainingDivergedError, ValidationError
 from .network import (
     MlpEncoderDecoder,
     NetSpec,
     ParamGrads,
-    _per_sample_pred_grad,
     backward,
     encoder_backward,
     encoder_forward,
     forward_with_trace,
     init_network,
-    input_backward,
     input_gradient,
     sgd_step,
     softmax,
-    zero_grads,
 )
 from .rng import RngState, derive, normal, uniform
 
@@ -120,60 +116,33 @@ def warmup_weight(t: int, schedule: WarmupSchedule) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    safe = np.maximum(norms, 1e-30)
-    return z / safe, safe
-
-
 def pmh_loss(
     net: MlpEncoderDecoder,
     x: np.ndarray,
     sigma: float,
     rng: RngState,
-    layers: str = "final",
 ) -> tuple[float, ParamGrads, np.ndarray, RngState]:
-    """Representation-matching penalty and its encoder gradients.
+    """Representation-matching penalty on the encoder output and its encoder
+    gradients.
 
     One fresh noise row per batch row; gradients flow through both the clean
-    and the noisy branch.  ``layers="final"`` matches the encoder output;
-    ``layers="all"`` averages l2-normalized displacement over every encoder
-    layer (multi-scale matching).  Returns (value, grads, x_noisy, rng) so
-    the caller can reuse the perturbed batch for the noisy task view.
+    and the noisy branch.  Returns (value, grads, x_noisy, rng) so the caller
+    can reuse the perturbed batch for the noisy task view.
     """
     if sigma < 0:
         raise ValidationError(f"sigma must be >= 0, got {sigma}")
-    if layers not in ("final", "all"):
-        raise ValidationError(f"unknown matching mode {layers!r}")
     n = x.shape[0]
     delta, rng = normal(rng, x.shape, sigma)
     x_noisy = x + delta
     trace_c = encoder_forward(net, x)
     trace_n = encoder_forward(net, x_noisy)
-    L = len(trace_c)
-
-    if layers == "final":
-        diff = trace_c[-1] - trace_n[-1]
-        value = float(np.sum(diff**2) / n)
-        up = 2.0 * diff / n
-        ups_clean = [None] * L
-        ups_noisy = [None] * L
-        ups_clean[-1] = up
-        ups_noisy[-1] = -up
-    else:
-        value = 0.0
-        ups_clean = [None] * L
-        ups_noisy = [None] * L
-        for li in range(L):
-            zc, nc = _normalize_rows(trace_c[li])
-            zn, nn_ = _normalize_rows(trace_n[li])
-            diff = zc - zn
-            value += float(np.sum(diff**2) / n) / L
-            up = 2.0 * diff / (n * L)
-            # chain through row normalization: d(z/||z||) pullback
-            ups_clean[li] = (up - (np.sum(up * zc, axis=1, keepdims=True)) * zc) / nc
-            ups_noisy[li] = -(up - (np.sum(up * zn, axis=1, keepdims=True)) * zn) / nn_
-
+    diff = trace_c[-1] - trace_n[-1]
+    value = float(np.sum(diff**2) / n)
+    up = 2.0 * diff / n
+    ups_clean = [None] * len(trace_c)
+    ups_noisy = [None] * len(trace_c)
+    ups_clean[-1] = up
+    ups_noisy[-1] = -up
     grads = encoder_backward(net, x, trace_c, ups_clean)
     grads.add_(encoder_backward(net, x_noisy, trace_n, ups_noisy))
     return value, grads, x_noisy, rng
@@ -268,8 +237,6 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     loss: str = "mse"
-    pmh_layers: str = "final"  # or "all" (multi-scale matching)
-    pmh_noisy_task: bool = True  # include the noisy-view task term
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -309,22 +276,13 @@ class TrainLog:
         return float(self.fraction[-k:].mean())
 
     def to_csv(self, path: str) -> None:
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".csv.tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write("step,task_loss,pmh_loss,eff_lambda,fraction,warmup\n")
-                for i in range(len(self.step)):
-                    f.write(
-                        f"{int(self.step[i])},{self.task_loss[i]:.17g},"
-                        f"{self.pmh_loss[i]:.17g},{self.eff_lambda[i]:.17g},"
-                        f"{self.fraction[i]:.17g},{self.warmup[i]:.17g}\n"
-                    )
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+        lines = ["step,task_loss,pmh_loss,eff_lambda,fraction,warmup"] + [
+            f"{int(self.step[i])},{self.task_loss[i]:.17g},"
+            f"{self.pmh_loss[i]:.17g},{self.eff_lambda[i]:.17g},"
+            f"{self.fraction[i]:.17g},{self.warmup[i]:.17g}"
+            for i in range(len(self.step))
+        ]
+        atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _sigma_for_step(config: TrainConfig, rng_sigma: RngState) -> tuple[float, RngState]:
@@ -345,7 +303,7 @@ def train(
 
     * erm:  task loss on the clean batch.
     * pgd:  task loss at x + delta with delta from the inner l-infinity attack.
-    * pmh:  mean of the clean and noisy task views (noisy view optional)
+    * pmh:  mean of the clean and noisy task views
             plus the capped, warmed-up matching penalty.
 
     Raises TrainingDivergedError with the step index if the loss goes
@@ -364,63 +322,61 @@ def train(
     log_frac = np.zeros(steps)
     log_warm = np.zeros(steps)
 
-    for t in range(steps):
-        x, y, rng_data = data_source(rng_data, config.batch_size)
-        w_t = warmup_weight(t, config.warmup)
+    # A diverging step overflows before its loss turns non-finite; the
+    # check below raises TrainingDivergedError for it, so numpy's warnings
+    # would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            x, y, rng_data = data_source(rng_data, config.batch_size)
+            w_t = warmup_weight(t, config.warmup)
 
-        if config.objective == "erm":
-            pred, trace = forward_with_trace(net, x)
-            l_task, g_pred = task_loss(pred, y, config.loss)
-            grads = backward(net, x, trace, g_pred)
-            pmh_term, lam_eff = 0.0, 0.0
+            if config.objective == "erm":
+                pred, trace = forward_with_trace(net, x)
+                l_task, g_pred = task_loss(pred, y, config.loss)
+                grads = backward(net, x, trace, g_pred)
+                pmh_term, lam_eff = 0.0, 0.0
 
-        elif config.objective == "pgd":
-            delta = pgd_attack(
-                net,
-                x,
-                y,
-                config.pgd.epsilon,
-                config.pgd.steps,
-                config.pgd.resolved_step_size(),
-                config.loss,
-            )
-            x_adv = x + delta
-            pred, trace = forward_with_trace(net, x_adv)
-            l_task, g_pred = task_loss(pred, y, config.loss)
-            grads = backward(net, x_adv, trace, g_pred)
-            pmh_term, lam_eff = 0.0, 0.0
+            elif config.objective == "pgd":
+                delta = pgd_attack(
+                    net,
+                    x,
+                    y,
+                    config.pgd.epsilon,
+                    config.pgd.steps,
+                    config.pgd.resolved_step_size(),
+                    config.loss,
+                )
+                x_adv = x + delta
+                pred, trace = forward_with_trace(net, x_adv)
+                l_task, g_pred = task_loss(pred, y, config.loss)
+                grads = backward(net, x_adv, trace, g_pred)
+                pmh_term, lam_eff = 0.0, 0.0
 
-        else:  # pmh
-            sigma_t, rng_sigma = _sigma_for_step(config, rng_sigma)
-            l_raw, pmh_grads, x_noisy, rng_noise = pmh_loss(
-                net, x, sigma_t, rng_noise, config.pmh_layers
-            )
-            pred, trace = forward_with_trace(net, x)
-            l_clean, g_pred = task_loss(pred, y, config.loss)
-            if config.pmh_noisy_task:
+            else:  # pmh
+                sigma_t, rng_sigma = _sigma_for_step(config, rng_sigma)
+                l_raw, pmh_grads, x_noisy, rng_noise = pmh_loss(net, x, sigma_t, rng_noise)
+                pred, trace = forward_with_trace(net, x)
+                l_clean, g_pred = task_loss(pred, y, config.loss)
                 pred_n, trace_n = forward_with_trace(net, x_noisy)
                 l_noisy, g_pred_n = task_loss(pred_n, y, config.loss)
                 l_task = 0.5 * (l_clean + l_noisy)
                 grads = backward(net, x, trace, 0.5 * g_pred)
                 grads.add_(backward(net, x_noisy, trace_n, 0.5 * g_pred_n))
-            else:
-                l_task = l_clean
-                grads = backward(net, x, trace, g_pred)
-            lam_eff = cap_rescale(l_task, l_raw, config.lam * w_t, config.cap)
-            if lam_eff > 0.0:
-                grads.add_(pmh_grads.scaled(lam_eff))
-            pmh_term = lam_eff * l_raw
+                lam_eff = cap_rescale(l_task, l_raw, config.lam * w_t, config.cap)
+                if lam_eff > 0.0:
+                    grads.add_(pmh_grads.scaled(lam_eff))
+                pmh_term = lam_eff * l_raw
 
-        if not np.isfinite(l_task) or not np.isfinite(pmh_term):
-            raise TrainingDivergedError(f"loss diverged at step {t}", step=t)
+            if not np.isfinite(l_task) or not np.isfinite(pmh_term):
+                raise TrainingDivergedError(f"loss diverged at step {t}", step=t)
 
-        sgd_step(net, grads, config.lr)
+            sgd_step(net, grads, config.lr)
 
-        log_task[t] = l_task
-        log_pmh[t] = pmh_term
-        log_lam[t] = lam_eff
-        total = l_task + pmh_term
-        log_frac[t] = pmh_term / total if total > 0 else 0.0
-        log_warm[t] = w_t
+            log_task[t] = l_task
+            log_pmh[t] = pmh_term
+            log_lam[t] = lam_eff
+            total = l_task + pmh_term
+            log_frac[t] = pmh_term / total if total > 0 else 0.0
+            log_warm[t] = w_t
 
     return net, TrainLog(log_step, log_task, log_pmh, log_lam, log_frac, log_warm)

@@ -83,6 +83,16 @@ class TestConfigParsing:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             small_config(kind="explode")
+        with pytest.raises(ConfigError):
+            small_config(kind="verify")
+
+    def test_unknown_loss_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="loss"):
+            small_config(loss="bogus")
+
+    def test_unknown_method_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="sgd"):
+            small_config(methods=("erm", "sgd"))
 
 
 class TestResultTable:
@@ -93,10 +103,18 @@ class TestResultTable:
         t.set("a", "c2", vals[1], 0.0)
         t.set("b", "c1", vals[2], vals[3])
         t.set("b", "c2", 0.0, 0.0)
+        # A NaN value with SE 0 is a measurement, not a failed row.
+        t.set("d", "c1", float("nan"), 0.0)
+        t.set("d", "c2", float("nan"), 0.0)
+        t.fill("train@0.1", {"failed": True})
+        t.row_keys += ["d", "train@0.1"]
         paths = xp.emit(t, str(tmp_path))
         loaded = xp.parse_table_csv(paths[0])
-        assert loaded.cells == t.cells
+        assert loaded.cells.keys() == t.cells.keys()
+        for key, cell in t.cells.items():
+            np.testing.assert_array_equal(loaded.cells[key], cell)
         assert loaded.row_keys == t.row_keys
+        assert loaded.failed_rows == t.failed_rows == ["train@0.1"]
         assert loaded.seed == 5
 
     def test_empty_table_header_only(self, tmp_path):
@@ -191,8 +209,7 @@ class TestRunners:
             seeds_per_cell=2,
             steps=50,
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = xp.run_talign(cfg)
+        table = xp.run_talign(cfg)
         assert table.failed_rows == ["train@0.1", "train@0.3"]
         for c in table.col_keys:
             assert table.get("_diag_match", c)[0] == 0.0
@@ -351,6 +368,19 @@ class TestCli:
         assert res.returncode == 0
         data = json.loads(out.read_text())
         assert "tdi_at_0" in data
+
+    def test_diagnose_truncated_model_exit_two(self, tmp_path):
+        from isogeo.network import NetSpec, init_network, save_params
+        from isogeo.rng import RngState
+
+        net, _ = init_network(NetSpec(4, (6,), 3), RngState(1))
+        model_path = tmp_path / "net.bin"
+        save_params(net, str(model_path))
+        model_path.write_bytes(model_path.read_bytes()[:20])
+        res = self._run("diagnose", "--model", str(model_path), "--sigma-grid", "0.1")
+        assert res.returncode == 2
+        assert "config error: parameter file truncated" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_diagnose_missing_model_exit_two(self, tmp_path):
         res = self._run(

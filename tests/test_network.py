@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isogeo.errors import ShapeError, ValidationError
 from isogeo.network import (
@@ -296,6 +298,24 @@ class TestSaveLoad:
             f.write(b"NOTMINE" + b"\x00" * 64)
         with pytest.raises(ValidationError):
             load_params(path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 4), max_size=2),
+        rep_dim=st.integers(1, 3),
+        out_dim=st.integers(1, 2),
+    )
+    def test_every_truncation_rejected(self, tmp_path_factory, hidden, rep_dim, out_dim):
+        path = str(tmp_path_factory.mktemp("trunc") / "net.bin")
+        save_params(small_net(input_dim=3, hidden=tuple(hidden), rep_dim=rep_dim,
+                              out_dim=out_dim), path)
+        with open(path, "rb") as f:
+            blob = f.read()
+        for n in range(len(blob)):
+            with open(path, "wb") as f:
+                f.write(blob[:n])
+            with pytest.raises(ValidationError):
+                load_params(path)
 
     def test_predictions_survive_roundtrip(self, tmp_path):
         net = small_net(seed=101)

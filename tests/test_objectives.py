@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,17 +103,17 @@ class TestPmhLoss:
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean() - exact) < 3 * se
 
-    def test_multilayer_mode_runs_and_matches_fd(self):
+    def test_gradient_matches_fd(self):
         from isogeo.network import init_network
 
         net, _ = init_network(NetSpec(4, (6,), 3), RngState(9))
         x, _ = normal(RngState(10), (5, 4))
-        val, grads, _, _ = pmh_loss(net, x, 0.2, RngState(11), layers="all")
+        val, grads, _, _ = pmh_loss(net, x, 0.2, RngState(11))
         assert val > 0
         eps = 1e-6
 
         def value_at(n):
-            v, _, _, _ = pmh_loss(n, x, 0.2, RngState(11), layers="all")
+            v, _, _, _ = pmh_loss(n, x, 0.2, RngState(11))
             return v
 
         n2 = net.copy()
@@ -351,13 +353,23 @@ class TestTrain:
         for field in ("task_loss", "pmh_loss", "eff_lambda", "fraction", "warmup"):
             assert np.array_equal(getattr(log1, field), getattr(log2, field))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_step_index(self, gauss_model):
         spec = NetSpec(input_dim=8, hidden=(16,), rep_dim=8, out_dim=1, activation="tanh")
         cfg = TrainConfig(objective="erm", lr=1e6, steps=500, batch_size=8, seed=6)
         with pytest.raises(TrainingDivergedError) as err:
             train(cfg, spec, model_batch_source(gauss_model))
         assert err.value.step >= 0
+
+    @pytest.mark.parametrize("objective", ["erm", "pmh"])
+    def test_divergence_raises_without_float_warnings(self, gauss_model, objective):
+        # The overflow of a diverging step is reported by TrainingDivergedError
+        # alone; any numpy warning would be raised here as an error.
+        spec = NetSpec(input_dim=8, hidden=(16,), rep_dim=8, out_dim=1, activation="tanh")
+        cfg = TrainConfig(objective=objective, lr=1e6, steps=500, batch_size=8, seed=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError):
+                train(cfg, spec, model_batch_source(gauss_model))
 
     def test_multiscale_training_keeps_cap_fixed_point(self, gauss_model):
         spec = NetSpec(input_dim=8, hidden=(16,), rep_dim=8, out_dim=1, activation="tanh")
