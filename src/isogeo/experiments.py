@@ -23,7 +23,7 @@ import numpy as np
 from . import data as dt
 from ._atomic import atomic_write
 from .diagnostics import jac_frobenius_fd, lipschitz_track, tdi
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, TrainingDivergedError, ValidationError
 from .network import NetSpec, forward_with_trace
 from .objectives import OBJECTIVES, PgdConfig, TrainConfig, WarmupSchedule, train
 from .rng import derive
@@ -80,6 +80,10 @@ class ExperimentConfig:
             raise ConfigError("sigma_eval grid must be strictly increasing")
         if self.steps < 1 or self.batch_size < 1 or self.eval_rows < 1:
             raise ConfigError("steps, batch_size, eval_rows must be >= 1")
+        try:
+            self.model()  # the data model checks d_s, d_n, rho and sigma_eps
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def model(self) -> dt.GaussianNuisanceModel:
         return dt.GaussianNuisanceModel.canonical(self.d_s, self.d_n, self.rho, self.sigma_eps)

@@ -128,25 +128,32 @@ def init_network(spec: NetSpec, rng: RngState) -> tuple[MlpEncoderDecoder, RngSt
     return MlpEncoderDecoder(encoder, decoder), rng
 
 
-def _apply_act(a: np.ndarray, activation: str) -> np.ndarray:
-    return np.tanh(a) if activation == "tanh" else a
-
-
 def _act_deriv_from_output(z: np.ndarray, activation: str) -> np.ndarray:
     # tanh'(a) = 1 - tanh(a)^2, recoverable from the post-activation value
     return 1.0 - z**2 if activation == "tanh" else np.ones_like(z)
 
 
-def encoder_forward(net: MlpEncoderDecoder, x) -> list[np.ndarray]:
-    """Post-activation trace of every encoder layer for a row batch."""
+def _as_input(net: MlpEncoderDecoder, x) -> np.ndarray:
     h = as_matrix(np.atleast_2d(x), "x")
     if h.shape[1] != net.input_dim:
         raise ShapeError(f"x has {h.shape[1]} columns, expected {net.input_dim}")
+    return h
+
+
+def _encoder_trace(net: MlpEncoderDecoder, h: np.ndarray) -> list[np.ndarray]:
     trace = []
     for layer in net.encoder:
-        h = _apply_act(h @ layer.weight.T + layer.bias, layer.activation)
+        h = h @ layer.weight.T
+        h += layer.bias
+        if layer.activation == "tanh":
+            np.tanh(h, out=h)
         trace.append(h)
     return trace
+
+
+def encoder_forward(net: MlpEncoderDecoder, x) -> list[np.ndarray]:
+    """Post-activation trace of every encoder layer for a row batch."""
+    return _encoder_trace(net, _as_input(net, x))
 
 
 def forward_with_trace(net: MlpEncoderDecoder, x) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -251,22 +258,11 @@ def encoder_backward(
     )
 
 
-def input_backward(
-    net: MlpEncoderDecoder, x, trace: list[np.ndarray], grad_pred: np.ndarray
-) -> np.ndarray:
-    """dLoss/dx for a per-row upstream gradient on the prediction."""
-    x = as_matrix(np.atleast_2d(x), "x")
-    d_rep = np.atleast_2d(grad_pred) @ net.decoder.weight
-    upstream = [None] * net.n_layers
-    upstream[-1] = d_rep
-    _, dx = _encoder_backward_chain(net, x, trace, upstream)
-    return dx
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    e = logits - logits.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _per_sample_pred_grad(pred: np.ndarray, y, loss: str) -> np.ndarray:
@@ -282,8 +278,7 @@ def _per_sample_pred_grad(pred: np.ndarray, y, loss: str) -> np.ndarray:
         return 2.0 * (pred - target)
     if loss == "cross-entropy":
         labels = np.asarray(y)
-        probs = softmax(pred)
-        grad = probs.copy()
+        grad = softmax(pred)
         grad[np.arange(pred.shape[0]), labels] -= 1.0
         return grad
     raise ValidationError(f"unknown loss tag {loss!r}; expected 'mse' or 'cross-entropy'")
@@ -294,12 +289,23 @@ def input_gradient(net: MlpEncoderDecoder, x, y, loss: str = "mse") -> np.ndarra
 
     For mse the per-sample loss is the squared error (no batch averaging),
     so a linear model f(x) = <w, x> yields exactly 2 (f(x) - y) w per row.
+    ``x`` is validated once; the reverse pass carries dLoss/dh only and
+    computes no weight gradients.
     """
-    x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    pred, trace = forward_with_trace(net, x2)
-    grad_pred = _per_sample_pred_grad(pred, y, loss)
-    dx = input_backward(net, x2, trace, grad_pred)
-    return dx if np.asarray(x).ndim == 2 else dx[0]
+    x = np.asarray(x, dtype=np.float64)
+    trace = _encoder_trace(net, _as_input(net, x))
+    pred = trace[-1] @ net.decoder.weight.T
+    pred += net.decoder.bias
+    dh = _per_sample_pred_grad(pred, y, loss) @ net.decoder.weight
+    for layer, z in zip(reversed(net.encoder), reversed(trace)):
+        if layer.activation == "tanh":
+            # tanh'(a) = 1 - z^2; the trace is private, so z is overwritten
+            np.square(z, out=z)
+            np.subtract(1.0, z, out=z)
+            z *= dh
+            dh = z
+        dh = dh @ layer.weight
+    return dh if x.ndim == 2 else dh[0]
 
 
 def encoder_jacobian(net: MlpEncoderDecoder, x) -> np.ndarray:

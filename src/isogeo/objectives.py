@@ -194,7 +194,10 @@ def pgd_attack(
     """L-infinity projected gradient ascent on the per-sample loss.
 
     delta starts at 0; after every step each coordinate is clipped back to
-    [-epsilon, epsilon], so the constraint holds exactly on return.
+    [-epsilon, epsilon], so the constraint holds exactly on return.  An input
+    gradient with a NaN (a diverged network) ends the attack early with the
+    last finite delta; the caller's loss at x + delta then shows the
+    divergence.
     """
     if epsilon < 0:
         raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
@@ -202,10 +205,15 @@ def pgd_attack(
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if epsilon == 0.0:
         return np.zeros_like(x)
-    delta = np.zeros_like(x)
+    delta = np.zeros_like(x, dtype=np.float64)
     for _ in range(steps):
         g = input_gradient(net, x + delta, y, loss)
-        delta = np.clip(delta + step_size * np.sign(g), -epsilon, epsilon)
+        if np.isnan(g).any():
+            break
+        np.sign(g, out=g)
+        g *= step_size
+        delta += g
+        np.minimum(np.maximum(delta, -epsilon, out=delta), epsilon, out=delta)
     return delta
 
 

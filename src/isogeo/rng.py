@@ -13,15 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-
-# Each draw call owns a disjoint 2**128-block of the Philox counter space, so
-# successive states can never overlap regardless of how much one call consumes.
-_COUNTER_BLOCK = 1 << 128
 
 _TWO_PI = 2.0 * math.pi
 
@@ -40,17 +37,48 @@ class RngState:
     def __post_init__(self):
         if not isinstance(self.seed, (int, np.integer)) or not (0 <= int(self.seed) < 2**64):
             raise ValidationError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
-        if not isinstance(self.counter, (int, np.integer)) or int(self.counter) < 0:
-            raise ValidationError(f"counter must be a nonnegative int, got {self.counter!r}")
+        # counter * 2**128 must fit Philox's 256-bit counter
+        if not isinstance(self.counter, (int, np.integer)) or not (
+            0 <= int(self.counter) < 2**128
+        ):
+            raise ValidationError(f"counter must be an int in [0, 2**128), got {self.counter!r}")
 
     def next(self) -> "RngState":
         return RngState(self.seed, self.counter + 1)
 
 
+# Each draw call owns a disjoint 2**128-block of the Philox counter space, so
+# successive states can never overlap regardless of how much one call
+# consumes: the 256-bit counter of state counter c is c * 2**128, whose 64-bit
+# words are (0, 0, low 64 bits of c, high 64 bits of c).
+_WORD = (1 << 64) - 1
+
+# One Philox per thread, reset in full by every _generator call.  Building a
+# Philox costs about 17 us, most of it gathering OS entropy for a seed that
+# the key then replaces; setting its state costs about 4 us.
+_LOCAL = threading.local()
+
+
 def _generator(state: RngState) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=int(state.seed), counter=int(state.counter) * _COUNTER_BLOCK)
-    )
+    """The thread's generator, positioned as a fresh
+    ``Philox(key=seed, counter=counter * 2**128)``: same key and counter, empty
+    output buffer.  Callers draw from it before the next call repositions it."""
+    g = getattr(_LOCAL, "generator", None)
+    if g is None:
+        g = _LOCAL.generator = np.random.Generator(np.random.Philox(key=0))
+    c = int(state.counter)
+    g.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([0, 0, c & _WORD, c >> 64], dtype=np.uint64),
+            "key": np.array([int(state.seed), 0], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return g
 
 
 def derive(state: "RngState | int", *keys: "str | int | float") -> RngState:
@@ -90,17 +118,27 @@ def normal(state: RngState, shape, sigma: float = 1.0) -> tuple[np.ndarray, RngS
     if sigma < 0:
         raise ValidationError(f"sigma must be >= 0, got {sigma}")
     shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
-    n = int(np.prod(shape)) if shape else 1
+    n = math.prod(shape)
     nxt = state.next()
     if sigma == 0.0 or n == 0:
         return np.zeros(shape), nxt
     g = _generator(state)
     m = (n + 1) // 2
-    u1 = 1.0 - g.random(m)  # (0, 1]: keeps log() finite
-    u2 = g.random(m)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([r * np.cos(_TWO_PI * u2), r * np.sin(_TWO_PI * u2)])[:n]
-    return (sigma * z).reshape(shape), nxt
+    r = g.random(m)
+    np.subtract(1.0, r, out=r)  # (0, 1]: keeps log() finite
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = g.random(m)
+    theta *= _TWO_PI
+    z = np.empty(2 * m)  # [r cos(theta), r sin(theta)], cut to n below
+    np.cos(theta, out=z[:m])
+    np.sin(theta, out=z[m:])
+    z[:m] *= r
+    z[m:] *= r
+    z = z[:n]
+    z *= sigma
+    return z.reshape(shape), nxt
 
 
 def gaussian_matrix(

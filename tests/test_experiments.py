@@ -94,6 +94,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="sgd"):
             small_config(methods=("erm", "sgd"))
 
+    @pytest.mark.parametrize("field", ["rho", "sigma_eps"])
+    def test_negative_data_parameter_rejected_at_construction(self, field):
+        with pytest.raises(ConfigError, match=field):
+            small_config(**{field: -1.0})
+
 
 class TestResultTable:
     def test_emit_parse_roundtrip_exact(self, tmp_path):
@@ -322,6 +327,33 @@ class TestCli:
         bad.write_text("[experiment]\nkind = compare\nbogus = 1\n")
         res = self._run("compare", "--config", str(bad))
         assert res.returncode == 2
+
+    def test_negative_rho_exit_two_before_training(self, tmp_path):
+        cfgf = tmp_path / "c.ini"
+        outdir = tmp_path / "out"
+        cfgf.write_text(
+            f"[experiment]\nkind = compare\noutdir = {outdir}\n[data]\nrho = -1\n"
+        )
+        res = self._run("compare", "--config", str(cfgf))
+        assert res.returncode == 2
+        assert "config error: rho must be >= 0" in res.stderr
+        assert not outdir.exists()
+
+    def test_diverging_pgd_row_is_listed_as_failed(self, tmp_path):
+        # lr = 1e6 diverges both nets; the PGD attack meets the diverged net
+        # first, and its row must still be a failed row, not a config error.
+        cfgf = tmp_path / "c.ini"
+        outdir = tmp_path / "out"
+        cfgf.write_text(
+            "[experiment]\n"
+            f"kind = compare\noutdir = {outdir}\nseed = 3\n"
+            "[train]\nloss = mse\nlr = 1e6\nsteps = 50\nmethods = erm pgd\n"
+            "[eval]\neval_rows = 32\nmc_draws = 2\n"
+        )
+        res = self._run("compare", "--config", str(cfgf))
+        assert res.returncode == 0, res.stderr
+        assert "Traceback" not in res.stderr
+        assert json.loads((outdir / "compare.json").read_text())["failed_rows"] == ["erm", "pgd"]
 
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfgf = tmp_path / "c.ini"

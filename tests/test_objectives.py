@@ -360,16 +360,19 @@ class TestTrain:
             train(cfg, spec, model_batch_source(gauss_model))
         assert err.value.step >= 0
 
-    @pytest.mark.parametrize("objective", ["erm", "pmh"])
+    @pytest.mark.parametrize("objective", ["erm", "pgd", "pmh"])
     def test_divergence_raises_without_float_warnings(self, gauss_model, objective):
         # The overflow of a diverging step is reported by TrainingDivergedError
-        # alone; any numpy warning would be raised here as an error.
+        # alone; any numpy warning would be raised here as an error.  Under pgd
+        # the attack meets the diverged net first and must not turn it into a
+        # ValidationError on x + delta.
         spec = NetSpec(input_dim=8, hidden=(16,), rep_dim=8, out_dim=1, activation="tanh")
         cfg = TrainConfig(objective=objective, lr=1e6, steps=500, batch_size=8, seed=6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(TrainingDivergedError):
+            with pytest.raises(TrainingDivergedError) as err:
                 train(cfg, spec, model_batch_source(gauss_model))
+        assert 0 < err.value.step < cfg.steps
 
     def test_multiscale_training_keeps_cap_fixed_point(self, gauss_model):
         spec = NetSpec(input_dim=8, hidden=(16,), rep_dim=8, out_dim=1, activation="tanh")

@@ -1,9 +1,14 @@
+import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from isogeo.errors import ValidationError
 from isogeo.rng import (
     RngState,
+    _generator,
     choice_without_replacement,
     derive,
     gaussian_matrix,
@@ -45,6 +50,66 @@ def test_sigma_scales_draws():
     assert np.allclose(z3, 3.0 * z1)
 
 
+# SHA-256 of shape, dtype and bytes of normal(RngState(2024, 3), shape, sigma),
+# recorded before the Box-Muller kernel was rewritten to work in place.  Odd
+# and even counts cover the dropped sine of the last pair.
+NORMAL_DIGESTS = [
+    (7, 0.7, "375017176100e07fc26b1e0bb6e7d0411a0eb0ddee11a968dbf272d39031b6e1"),
+    (8, 0.7, "1c2badc411e7bdb9f54166d201538e0b804b6d440ad325b3f17f17f7f2b1aac9"),
+    ((), 0.7, "1f2b4ce575863b20998ee30744ba109656cbc7eb34703f653b82e4dda98520c0"),
+    ((32, 8), 1.0, "0da02b80b5cb85b8523339e3ba0d28cdc5eeeeda970d6d7eb1ce08f3b3f5687c"),
+    ((5, 3), 0.7, "baf76a3107e4df85f6d1ff32aa52e73e6c8da017ca9df2929068a104869a7e69"),
+    ((4, 6), 0.0, "1163e72341c72f1a197b1600b6c22e4ad450ef9f0f0defd28a23211ff3c1d8fb"),
+    (100_000, 1.0, "efe987f3eaaee8af97df746d925098d86c250283be9e09553164d14721949078"),
+]
+
+
+@pytest.mark.parametrize("shape,sigma,digest", NORMAL_DIGESTS)
+def test_normal_stream_pinned(shape, sigma, digest):
+    z, nxt = normal(RngState(2024, 3), shape, sigma)
+    assert nxt == RngState(2024, 4)
+    h = hashlib.sha256(repr(z.shape).encode() + z.dtype.str.encode() + z.tobytes())
+    assert h.hexdigest() == digest
+
+
+def _fresh_generator(state):
+    """Reference: a new Philox for each draw call."""
+    return np.random.Generator(np.random.Philox(key=state.seed, counter=state.counter << 128))
+
+
+def test_reused_generator_matches_fresh_philox():
+    # Each draw leaves the shared Philox part-way through its buffer or with
+    # a spare 32-bit word; the next positioning must discard both.
+    draws = [
+        lambda g: g.random(3),
+        lambda g: g.integers(0, 1000, size=5, dtype=np.uint32),
+        lambda g: g.permutation(9),
+        lambda g: g.random(),
+    ]
+    states = [RngState(0), RngState(1, 5), RngState(2**64 - 1, 2**64 + 3), RngState(17, 2**70)]
+    for state in states:
+        for draw in draws:
+            assert np.array_equal(draw(_generator(state)), draw(_fresh_generator(state)))
+
+
+def test_threads_draw_their_own_streams():
+    states = [RngState(100 + i, i) for i in range(4)]
+    expected = [normal(s, 64)[0] for s in states]
+
+    def worker(i):
+        return [normal(states[i], 64)[0] for _ in range(300)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(worker, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for want, got in zip(expected, results):
+        assert all(np.array_equal(want, z) for z in got)
+
+
 def test_negative_sigma_rejected():
     with pytest.raises(ValidationError):
         normal(RngState(0), 3, -0.1)
@@ -76,3 +141,6 @@ def test_state_validation():
         RngState(-1)
     with pytest.raises(ValidationError):
         RngState(0, -3)
+    with pytest.raises(ValidationError):
+        RngState(0, 2**128)
+    RngState(0, 2**128 - 1)
