@@ -85,5 +85,5 @@ for s, (val, se) in sorted(report.tdi.items()):
 print(f"  jac_fro^2 (unbiased): {report.jac_fro['unbiased']:.4f}")
 print(f"  sensitivity along the nuisance direction: {report.directional['nuisance'][0]:.4f}")
 print(f"  decoder Lipschitz: {report.lipschitz['value']:.4f}")
-print(f"  (power iteration, per encoder layer: "
+print(f"  (exact spectral norm, per encoder layer: "
       f"{[f'{v:.3f}' for v in lipschitz_track(trained).encoder_layer_norms]})")

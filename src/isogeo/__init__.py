@@ -36,7 +36,6 @@ from .diagnostics import (
 from .errors import (
     ConfigError,
     DegenerateDirectionError,
-    EigenSolverError,
     IsogeoError,
     ShapeError,
     TrainingDivergedError,
@@ -44,7 +43,7 @@ from .errors import (
     UndertrainedModelError,
     ValidationError,
 )
-from .linalg import gram_schmidt_project_out, jacobi_eigh, spectral_norm
+from .linalg import gram_schmidt_project_out
 from .network import (
     Layer,
     MlpEncoderDecoder,

@@ -63,6 +63,8 @@ def _cmd_diagnose(args) -> int:
     grid = sorted(set(args.sigma_grid))
     if any(s <= 0 for s in grid):
         raise ConfigError("sigma grid values must be > 0")
+    if args.batch < 1:
+        raise ConfigError(f"--batch must be >= 1, got {args.batch}")
     x_eval, _ = normal(derive(args.seed, "diagnose-batch"), (args.batch, net.input_dim))
     report = diagnose(
         net,

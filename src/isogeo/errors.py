@@ -18,14 +18,6 @@ class DegenerateDirectionError(IsogeoError):
     zero-sensitivity denominator, vanishing representation)."""
 
 
-class EigenSolverError(IsogeoError):
-    """Eigensolver failed to converge; carries the iteration count."""
-
-    def __init__(self, message: str, iterations: int):
-        super().__init__(message)
-        self.iterations = iterations
-
-
 class TrainingDivergedError(IsogeoError):
     """Loss became non-finite; carries the offending step index."""
 

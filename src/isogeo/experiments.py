@@ -78,12 +78,26 @@ class ExperimentConfig:
         grid = self.sigma_eval
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("sigma_eval grid must be strictly increasing")
-        if self.steps < 1 or self.batch_size < 1 or self.eval_rows < 1:
-            raise ConfigError("steps, batch_size, eval_rows must be >= 1")
+        counts = ("steps", "batch_size", "eval_rows", "mc_draws", "seeds_per_cell", "pgd_steps")
+        below_one = [name for name in counts if getattr(self, name) < 1]
+        if below_one:
+            raise ConfigError(f"{', '.join(below_one)} must be >= 1")
+        if len(self.sigma_range) != 2:
+            raise ConfigError(f"sigma_range must be (lo, hi), got {self.sigma_range}")
         try:
             self.model()  # the data model checks d_s, d_n, rho and sigma_eps
+            base = self.train_config("pmh", self.seed)  # lr, lam, cap, sigma_train, pgd
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
+        # Every grid cell's TrainConfig, so a bad entry fails before any cell trains.
+        entries = [("sigma_train_grid", "sigma_train", s) for s in self.sigma_train_grid]
+        entries += [("cap_grid", "cap", c) for c in self.cap_grid]
+        entries.append(("sigma_range", "sigma_train", tuple(self.sigma_range)))
+        for name, key, value in entries:
+            try:
+                replace(base, **{key: value})
+            except ValidationError as exc:
+                raise ConfigError(f"{name} entry {value}: {exc}") from exc
 
     def model(self) -> dt.GaussianNuisanceModel:
         return dt.GaussianNuisanceModel.canonical(self.d_s, self.d_n, self.rho, self.sigma_eps)

@@ -103,8 +103,17 @@ def derive(state: "RngState | int", *keys: "str | int | float") -> RngState:
     return RngState(int.from_bytes(h.digest(), "little"), 0)
 
 
+def _shape(shape) -> tuple:
+    """An int or sequence shape as a tuple; a negative dimension is rejected."""
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    if any(k < 0 for k in shape):
+        raise ValidationError(f"shape must have no negative dimension, got {shape}")
+    return shape
+
+
 def uniform(state: RngState, shape) -> tuple[np.ndarray, RngState]:
     """Uniform [0, 1) draws of the given shape; returns (values, successor)."""
+    shape = _shape(shape)
     g = _generator(state)
     return g.random(shape), state.next()
 
@@ -117,7 +126,7 @@ def normal(state: RngState, shape, sigma: float = 1.0) -> tuple[np.ndarray, RngS
     """
     if sigma < 0:
         raise ValidationError(f"sigma must be >= 0, got {sigma}")
-    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    shape = _shape(shape)
     n = math.prod(shape)
     nxt = state.next()
     if sigma == 0.0 or n == 0:
@@ -145,8 +154,6 @@ def gaussian_matrix(
     state: RngState, rows: int, cols: int, sigma: float
 ) -> tuple[np.ndarray, RngState]:
     """(rows x cols) matrix with i.i.d. N(0, sigma^2) entries."""
-    if rows < 0 or cols < 0:
-        raise ValidationError(f"rows/cols must be >= 0, got ({rows}, {cols})")
     return normal(state, (rows, cols), sigma)
 
 

@@ -6,7 +6,6 @@ import pytest
 from isogeo.data import GaussianNuisanceModel, sample, threshold_labels
 from isogeo.diagnostics import (
     DiagnosticsReport,
-    LipschitzEstimate,
     anisotropy_index,
     diagnose,
     directional_sensitivity,
@@ -25,7 +24,7 @@ from isogeo.errors import (
     ValidationError,
 )
 from isogeo.network import Layer, MlpEncoderDecoder, NetSpec, init_network
-from isogeo.rng import RngState, gaussian_matrix, normal
+from isogeo.rng import RngState, derive, gaussian_matrix, normal
 
 
 def linear_encoder(w, dec=None):
@@ -280,11 +279,18 @@ class TestLipschitz:
         oracle = np.linalg.svd(dec, compute_uv=False)[0]
         assert lipschitz_track(net).value == pytest.approx(oracle, rel=1e-8)
 
-    def test_product_invariant(self):
-        est = LipschitzEstimate(layer_norms=(2.0, 3.0), value=6.0)
-        assert est.value == 6.0
-        with pytest.raises(ValidationError):
-            LipschitzEstimate(layer_norms=(2.0, 3.0), value=5.0)
+    def test_golden_init_net_matches_svd_exactly(self):
+        spec = NetSpec(input_dim=16, hidden=(32,), rep_dim=16, out_dim=1, activation="tanh")
+        net, _ = init_network(spec, derive(20, "golden-net"))
+        est = lipschitz_track(net)
+        assert est.value == np.linalg.svd(net.decoder.weight, compute_uv=False)[0]
+        assert est.encoder_layer_norms == tuple(
+            np.linalg.svd(layer.weight, compute_uv=False)[0] for layer in net.encoder
+        )
+
+    def test_zero_decoder_is_exactly_zero(self):
+        net = linear_encoder(np.eye(3), dec=np.zeros((2, 3)))
+        assert lipschitz_track(net).value == 0.0
 
 
 class TestNuisanceSubspace:

@@ -94,10 +94,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="sgd"):
             small_config(methods=("erm", "sgd"))
 
-    @pytest.mark.parametrize("field", ["rho", "sigma_eps"])
+    BAD_VALUES = {
+        "rho": -1.0,
+        "sigma_eps": -1.0,
+        "mc_draws": 0,
+        "seeds_per_cell": 0,
+        "pgd_steps": 0,
+        "cap_grid": (0.1, -0.2),
+        "sigma_train_grid": (0.05, -0.1),
+        "sigma_range": (0.05, 0.2, 0.8),
+    }
+
+    @pytest.mark.parametrize("field", list(BAD_VALUES))
     def test_negative_data_parameter_rejected_at_construction(self, field):
         with pytest.raises(ConfigError, match=field):
-            small_config(**{field: -1.0})
+            small_config(**{field: self.BAD_VALUES[field]})
 
 
 class TestResultTable:
@@ -413,6 +424,22 @@ class TestCli:
         assert res.returncode == 2
         assert "config error: parameter file truncated" in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("batch", ["-3", "0"])
+    def test_diagnose_batch_below_one_exit_two(self, tmp_path, batch):
+        from isogeo.network import NetSpec, init_network, save_params
+        from isogeo.rng import RngState
+
+        net, _ = init_network(NetSpec(4, (6,), 3), RngState(1))
+        model_path = tmp_path / "net.bin"
+        save_params(net, str(model_path))
+        out = tmp_path / "diag.json"
+        res = self._run("diagnose", "--model", str(model_path), "--sigma-grid", "0.1",
+                        "--batch", batch, "--out", str(out))
+        assert res.returncode == 2
+        assert "config error: --batch must be >= 1" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
 
     def test_diagnose_missing_model_exit_two(self, tmp_path):
         res = self._run(

@@ -133,12 +133,12 @@ PRODUCERS = {
 DIGESTS = {
     "capsweep:csv": "4199ffdf3623f098fb44480f517bd114de20f907f14fa9543e2771b98af35b30",
     "capsweep:json": "1c173630e8aef1ede08ed880686824ca5b86067a08eed76c4d2ef7bfd4e9b50f",
-    "compare:csv": "9bf70e526a68d9d853f893fe1322628413e5a4ed0772c3cfed13d07f65d3626d",
-    "compare:json": "aaee6037dbfc2478acbfae3a89197a751da0330f8201accd1cee2b2243b49873",
-    "compare_pgd:csv": "611576e51608831f754adca0014ca900ebb0e97a1a94559bbc7cd4f1a0f505ab",
-    "compare_pgd:json": "26d34fea88918d127e7789f185cfd886b31b7b480d7852075f6b7053876e450d",
+    "compare:csv": "33d8acca18951c379348a38cb6b4b5f01e03896b6f6570ac11008ecda03e712f",
+    "compare:json": "6d98ab2e53d4e444b77de1f406112ef35e1cccf3c2332a49231521212c063d01",
+    "compare_pgd:csv": "32ef55deb021fcfd2928e6c21a8905672058c9d0a542f7161d43a6081d3fa4c8",
+    "compare_pgd:json": "1c663ffb2013f4fa8e03f7188e4158a64f54e42285b3e7e0c9a408fa27341457",
     "diagnose:csv": "4e51cb15053662c720ef156ff5f4eb44a7defa6f06ed79122d4af731c8cf3134",
-    "diagnose:json": "f1cbd0622d6a509b5a2aea02299fef419190d4d631925acc9c408e527e9cb597",
+    "diagnose:json": "972ffca767a045720b60e5d1b55f939193c6d16495d5e91688851746c433322d",
     "export:csv": "bc2d4f2ad3ada09607c0fc82114aa8ce371977894e7ae3e8fdf5051eaa081ee5",
     "multiscale:csv": "be7fa5729d60bc0e2fe10162bc36871f5ebc6aa1e69a2f224acc22692c4054a8",
     "multiscale:json": "78f43ad73c59c4310ea8bf15fd095a455b8bda65f68ac397ee81007ed0067404",

@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isogeo.errors import DegenerateDirectionError, ValidationError
-from isogeo.linalg import (
-    as_matrix,
-    gram_schmidt_project_out,
-    jacobi_eigh,
-    spectral_norm,
-)
+from isogeo.linalg import as_matrix, gram_schmidt_project_out
 from isogeo.rng import RngState, gaussian_matrix, normal
 
 
@@ -20,51 +15,6 @@ def test_as_matrix_rejects_nonfinite():
         as_matrix(np.array([[np.inf, 0.0]]))
     with pytest.raises(ValidationError):
         as_matrix(np.ones(3))
-
-
-class TestSpectralNorm:
-    def test_identity(self):
-        assert spectral_norm(np.eye(3), 100, 1e-12).value == pytest.approx(1.0, abs=1e-12)
-
-    def test_diagonal(self):
-        res = spectral_norm(np.diag([2.0, 1.0]), 100, 1e-12)
-        assert res.value == pytest.approx(2.0, abs=1e-10)
-
-    def test_zero_matrix_short_circuits(self):
-        res = spectral_norm(np.zeros((4, 4)), 100, 1e-10)
-        assert res.value == 0.0
-        assert res.converged
-        assert res.iterations == 0
-
-    def test_against_svd_oracle(self):
-        # random rectangular matrices vs dense SVD
-        for seed in range(20):
-            m, _ = gaussian_matrix(RngState(seed), 6, 4, 1.0)
-            oracle = np.linalg.svd(m, compute_uv=False)[0]
-            res = spectral_norm(m, 5000, 1e-12)
-            assert res.value == pytest.approx(oracle, rel=1e-8)
-
-    def test_start_vector_orthogonal_to_top_direction(self):
-        # top singular direction orthogonal to the all-ones start; the fixed
-        # random restart must still find it
-        q = np.eye(3)
-        q[:, 0] = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
-        q[:, 1] = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-        m = q @ np.diag([5.0, 1.0, 0.5]) @ q.T
-        res = spectral_norm(m, 2000, 1e-12)
-        assert res.value == pytest.approx(5.0, rel=1e-8)
-
-    def test_never_exceeds_frobenius(self):
-        for seed in range(50):
-            m, _ = gaussian_matrix(RngState(100 + seed), 5, 7, 1.0)
-            res = spectral_norm(m, 1000, 1e-10)
-            assert res.value <= np.linalg.norm(m) + 1e-9
-
-    def test_bad_args(self):
-        with pytest.raises(ValidationError):
-            spectral_norm(np.eye(2), 0, 1e-8)
-        with pytest.raises(ValidationError):
-            spectral_norm(np.zeros((0, 3)), 10, 1e-8)
 
 
 class TestGramSchmidt:
@@ -102,36 +52,6 @@ class TestGramSchmidt:
     def test_non_unit_basis_rejected(self):
         with pytest.raises(ValidationError):
             gram_schmidt_project_out([np.array([2.0, 0.0])], np.array([0.0, 1.0]))
-
-
-class TestJacobiEigh:
-    def test_matches_lapack_oracle(self):
-        for seed in range(10):
-            m, _ = gaussian_matrix(RngState(200 + seed), 8, 8, 1.0)
-            s = m @ m.T
-            vals, vecs = jacobi_eigh(s)
-            ref = np.sort(np.linalg.eigvalsh(s))[::-1]
-            assert np.allclose(vals, ref, rtol=1e-10, atol=1e-10)
-            # eigenvector property
-            assert np.allclose(s @ vecs, vecs * vals, atol=1e-8)
-
-    def test_orthonormal_eigenvectors(self):
-        m, _ = gaussian_matrix(RngState(31), 6, 6, 1.0)
-        s = m + m.T
-        _, vecs = jacobi_eigh(s)
-        assert np.allclose(vecs.T @ vecs, np.eye(6), atol=1e-10)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValidationError):
-            jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_deterministic(self):
-        m, _ = gaussian_matrix(RngState(77), 5, 5, 1.0)
-        s = m @ m.T
-        v1 = jacobi_eigh(s)
-        v2 = jacobi_eigh(s)
-        assert np.array_equal(v1[0], v2[0])
-        assert np.array_equal(v1[1], v2[1])
 
 
 # Sub-block inequality: ||A v||^2 <= ||A||_F^2 for any unit v (property test).

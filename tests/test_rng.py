@@ -115,6 +115,14 @@ def test_negative_sigma_rejected():
         normal(RngState(0), 3, -0.1)
 
 
+@pytest.mark.parametrize("shape", [(-2, 3), (-2, -3), -1])
+def test_negative_dimension_rejected(shape):
+    with pytest.raises(ValidationError):
+        normal(RngState(0), shape)
+    with pytest.raises(ValidationError):
+        uniform(RngState(0), shape)
+
+
 def test_derive_is_stable_and_key_sensitive():
     base = RngState(42)
     assert derive(base, "data") == derive(base, "data")
