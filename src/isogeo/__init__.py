@@ -55,6 +55,7 @@ from .network import (
     input_gradient,
     load_params,
     save_params,
+    stack_networks,
 )
 from .objectives import (
     PgdConfig,
@@ -68,6 +69,7 @@ from .objectives import (
     pgd_attack,
     pmh_loss,
     train,
+    train_stack,
     warmup_weight,
 )
 from .rng import RngState, derive, gaussian_matrix, normal, uniform

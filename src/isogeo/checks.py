@@ -30,7 +30,7 @@ from .diagnostics import (
     nuisance_subspace,
     tdi,
 )
-from .errors import UndertrainedModelError, ValidationError
+from .errors import TrainingDivergedError, UndertrainedModelError, ValidationError
 from .network import (
     Layer,
     MlpEncoderDecoder,
@@ -38,7 +38,7 @@ from .network import (
     batch_encoder_jacobians,
     forward_with_trace,
 )
-from .experiments import ExperimentConfig, default_config
+from .experiments import ExperimentConfig, default_config, train_stacks
 from .objectives import TrainConfig, train
 from .rng import derive, gaussian_matrix, normal, uniform
 
@@ -448,6 +448,13 @@ def check_anisotropy_floor(seed: int = 0, trials: int = 1000, dim: int = 6) -> C
     )
 
 
+def _trained(result) -> tuple:
+    """A train_stack result as train returns it: (net, log), or the raise."""
+    if isinstance(result, TrainingDivergedError):
+        raise result
+    return result
+
+
 def check_cap_fixed_point(
     caps: tuple = (0.10, 0.15, 0.25, 0.30, 0.40, 0.60),
     seed: int = 0,
@@ -458,15 +465,16 @@ def check_cap_fixed_point(
 
     Targets for the default grid: 0.091, 0.130, 0.200, 0.231, 0.286, 0.375.
     Steady state is the final 20% of steps.  Training is the capsweep
-    experiment's PMH setup at the given seed and length.
+    experiment's PMH setup at the given seed and length, the caps trained
+    as stacks (experiments.train_stacks).
     """
     config = default_config("capsweep", seed=seed, steps=steps)
+    cfgs = [replace(config.train_config("pmh", seed), cap=cap) for cap in caps]
     measured = {}
     bounds = {}
     ok = True
-    for cap in caps:
-        cfg = replace(config.train_config("pmh", seed), cap=cap)
-        _, log = train(cfg, config.net_spec(), config.data_source())
+    for cap, trained in zip(caps, train_stacks(config, cfgs)):
+        _, log = _trained(trained)
         frac = log.steady_state_fraction()
         target = cap / (1.0 + cap)
         measured[f"fraction_cap={cap:g}"] = frac
@@ -675,15 +683,13 @@ def check_suppression_cost_exact(
     )
 
 
-def _train_and_measure(
-    objective: str, seed: int, config: ExperimentConfig
-) -> tuple[MlpEncoderDecoder, float, float]:
-    """Train one objective and return (net, tdi_at_0, fd_frobenius_sq)."""
-    net, _ = train(config.train_config(objective, seed), config.net_spec(), config.data_source())
+def _measure(trained, objective: str, seed: int, config: ExperimentConfig) -> tuple[float, float]:
+    """(tdi_at_0, fd_frobenius_sq) of one train_stack result."""
+    net, _ = _trained(trained)
     eval_batch, _ = dt.sample(config.model(), config.eval_rows, derive(seed, "eval", objective))
     res, _ = tdi(net, eval_batch.x, 0.0, config.mc_draws, derive(seed, "tdi", objective))
     fro = jac_frobenius_fd(net, eval_batch.x[:256], eval_batch.x.shape[1], 0.01)
-    return net, res.value, fro.unbiased.value
+    return res.value, fro.unbiased.value
 
 
 def check_adversarial_geometry_signature(
@@ -703,17 +709,23 @@ def check_adversarial_geometry_signature(
     correlated-nuisance model with sign labels and cross-entropy loss, under
     which the plain-ERM encoder inflates its Jacobian (logit growth), the
     regime where adversarial training visibly redistributes sensitivity.
-    Every objective trains at seeds seed .. seed + n_seeds - 1; TDI uses
-    config.mc_draws draws on config.eval_rows rows.
+    Every objective trains at seeds seed .. seed + n_seeds - 1, as one
+    stack per objective; TDI uses config.mc_draws draws on config.eval_rows
+    rows.
     """
     seeds = tuple(range(seed, seed + n_seeds))
+    trained = {}
+    for objective in ("erm", "pgd", "pmh"):
+        cfgs = [config.train_config(objective, s) for s in seeds]
+        for s, res in zip(seeds, train_stacks(config, cfgs)):
+            trained[s, objective] = res
     per_seed = {}
     pgd_hits = 0
     pmh_hits = 0
     for seed in seeds:
-        _, tdi_erm, fro_erm = _train_and_measure("erm", seed, config)
-        _, tdi_pgd, fro_pgd = _train_and_measure("pgd", seed, config)
-        _, tdi_pmh, fro_pmh = _train_and_measure("pmh", seed, config)
+        tdi_erm, fro_erm = _measure(trained[seed, "erm"], "erm", seed, config)
+        tdi_pgd, fro_pgd = _measure(trained[seed, "pgd"], "pgd", seed, config)
+        tdi_pmh, fro_pmh = _measure(trained[seed, "pmh"], "pmh", seed, config)
         pgd_sig = fro_pgd < fro_erm and tdi_pgd >= tdi_erm
         pmh_sig = tdi_pmh <= tdi_erm
         pgd_hits += int(pgd_sig)

@@ -6,6 +6,9 @@ Configurations are flat ``key = value`` files with ``[section]`` headers
 Every experiment is a pure function of (config, seed): grid cells derive
 their own streams from a hash of the base seed and the cell key, so results
 are byte-identical across reruns and independent of worker scheduling.
+Cells that train nets of one shape train as stacks of at most STACK_SIZE
+(objectives.train_stack); a member of a stack ends exactly as it would
+alone, so stacking does not change results either.
 Emitted files contain no timestamps and format floats with 17 significant
 digits, which round-trips float64 losslessly.
 """
@@ -25,7 +28,7 @@ from ._atomic import atomic_write
 from .diagnostics import jac_frobenius_fd, lipschitz_track, tdi
 from .errors import ConfigError, TrainingDivergedError, ValidationError
 from .network import NetSpec, forward_with_trace
-from .objectives import OBJECTIVES, PgdConfig, TrainConfig, WarmupSchedule, train
+from .objectives import OBJECTIVES, PgdConfig, TrainConfig, WarmupSchedule, train, train_stack
 from .rng import derive
 
 
@@ -359,30 +362,64 @@ def parse_table_csv(path: str) -> ResultTable:
 
 
 # ---------------------------------------------------------------------------
-# Worker pool
+# Stacks and the worker pool
 # ---------------------------------------------------------------------------
+
+# Most nets one training stack holds.  The per-member cost of a step stops
+# falling at about 8 members, where each member's own data and noise draws
+# dominate.
+STACK_SIZE = 8
 
 
 def _worker_count(n_cells: int) -> int:
-    cap = os.environ.get("ISOGEO_THREADS", "1")
+    """Pool size: ISOGEO_THREADS (1 when unset), at most one per cell."""
+    raw = os.environ.get("ISOGEO_THREADS", "1")
     try:
-        cap_n = max(1, int(cap))
+        cap = int(raw)
     except ValueError:
-        cap_n = 1
-    return min(cap_n, n_cells)
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"ISOGEO_THREADS must be an integer >= 1, got {raw!r}")
+    return min(cap, n_cells)
 
 
-def _run_cells(fn, cells: list) -> list:
-    """Map fn over cell argument tuples, optionally in parallel.
+def stacks(cells: list, count: int = 1) -> list[list]:
+    """cells cut into consecutive stacks of near-equal length: at least
+    count of them (fewer only when there are fewer cells), none longer than
+    STACK_SIZE."""
+    count = max(count, -(-len(cells) // STACK_SIZE), 1)
+    size = max(1, -(-len(cells) // count))
+    return [cells[i:i + size] for i in range(0, len(cells), size)]
 
-    Each cell owns a derived seed, so scheduling cannot change results; the
-    output order matches the input order.
+
+def _run_cells(fn, config: "ExperimentConfig", cell_stacks: list) -> list:
+    """Map fn(config, stack) over stacks of cells, optionally in parallel,
+    and concatenate the per-cell results in input order.
+
+    Each cell owns a derived seed and trains as it would alone, so neither
+    the stacking nor the scheduling can change results.
     """
-    workers = _worker_count(len(cells))
+    workers = _worker_count(len(cell_stacks))
     if workers <= 1:
-        return [fn(*args) for args in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*cells)))
+        results = [fn(config, cells) for cells in cell_stacks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(fn, [config] * len(cell_stacks), cell_stacks))
+    return [res for stack_results in results for res in stack_results]
+
+
+def train_stacks(config: "ExperimentConfig", cfgs: list) -> list:
+    """train_stack over cfgs cut into stacks of at most STACK_SIZE, with
+    the config's net spec and data source: per config, in order, its
+    (net, log) or its TrainingDivergedError."""
+    spec, source = config.net_spec(), config.data_source()
+    return [res for cells in stacks(cfgs) for res in train_stack(cells, spec, source)]
+
+
+def _spread(cells: list) -> list[list]:
+    """Stacks of cells that share their training settings, at least one per
+    pool worker so that none idles."""
+    return stacks(cells, _worker_count(len(cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +430,12 @@ def _run_cells(fn, cells: list) -> list:
 def _eval_inputs(config: ExperimentConfig) -> np.ndarray:
     batch, _ = dt.sample(config.model(), config.eval_rows, derive(config.seed, "eval-batch"))
     return batch.x
+
+
+def _compare_cells(config: ExperimentConfig, cells: list) -> list[dict]:
+    """Train each (method, seed) cell alone (methods differ, so they do not
+    stack) and measure the comparison metrics."""
+    return [_compare_cell(config, method, seed) for method, seed in cells]
 
 
 def _compare_cell(config: ExperimentConfig, method: str, seed: int) -> dict:
@@ -429,28 +472,29 @@ def run_compare(config: ExperimentConfig) -> ResultTable:
     cols = ["tdi_at_0", *[f"tdi@{s:g}" for s in config.sigma_eval],
             "jac_fro_sq", "lipschitz", "task_metric", "final_task_loss"]
     table = ResultTable("compare", list(config.methods), cols, seed=config.seed)
-    cells = [(config, m, config.seed) for m in config.methods]
-    for method, metrics in zip(config.methods, _run_cells(_compare_cell, cells)):
+    cells = [[(m, config.seed)] for m in config.methods]
+    for method, metrics in zip(config.methods, _run_cells(_compare_cells, config, cells)):
         table.fill(method, metrics)
     table.validate_rectangular()
     return table
 
 
-def _talign_cell(config: ExperimentConfig, sigma_train: float, seed: int) -> dict:
-    source = config.data_source()
+def _talign_cells(config: ExperimentConfig, cells: list) -> list[dict]:
+    """Train a stack of PMH cells (sigma_train, seed) and measure each
+    one's TDI at every eval scale."""
+    cfgs = [config.train_config("pmh", seed, sigma_train=st) for st, seed in cells]
     x_eval = _eval_inputs(config)
-    try:
-        net, _ = train(
-            config.train_config("pmh", seed, sigma_train=sigma_train),
-            config.net_spec(),
-            source,
-        )
-    except TrainingDivergedError:
-        return {"failed": True}
-    out = {"failed": False}
-    for s in config.sigma_eval:
-        res, _ = tdi(net, x_eval, float(s), config.mc_draws, derive(seed, "talign", sigma_train, s))
-        out[f"eval@{s:g}"] = (res.value, res.se)
+    out = []
+    for (sigma_train, seed), trained in zip(cells, train_stacks(config, cfgs)):
+        if isinstance(trained, TrainingDivergedError):
+            out.append({"failed": True})
+            continue
+        metrics = {"failed": False}
+        for s in config.sigma_eval:
+            key = derive(seed, "talign", sigma_train, s)
+            res, _ = tdi(trained[0], x_eval, float(s), config.mc_draws, key)
+            metrics[f"eval@{s:g}"] = (res.value, res.se)
+        out.append(metrics)
     return out
 
 
@@ -508,8 +552,8 @@ def run_talign(config: ExperimentConfig) -> ResultTable:
     for st in grid_t:
         for k in range(config.seeds_per_cell):
             cell_seed = derive(config.seed, "talign-cell", st, k).seed
-            cells.append((config, st, cell_seed))
-    results = _run_cells(_talign_cell, cells)
+            cells.append((st, cell_seed))
+    results = _run_cells(_talign_cells, config, _spread(cells))
     k = config.seeds_per_cell
     mean = np.full((len(grid_t), len(grid_e)), np.nan)
     for i, row in enumerate(row_keys):
@@ -596,22 +640,26 @@ def alignment_verdict(config: ExperimentConfig, table: ResultTable) -> Alignment
     return AlignmentVerdict(knee, int(above.sum()), matched, full, _asymmetry_costs(mean))
 
 
-def _capsweep_cell(config: ExperimentConfig, cap: float, seed: int) -> dict:
-    source = config.data_source()
+def _capsweep_cells(config: ExperimentConfig, cells: list) -> list[dict]:
+    """Train a stack of PMH cells (cap, seed) and measure each one's penalty
+    fraction, final task loss and TDI."""
+    cfgs = [replace(config.train_config("pmh", seed), cap=cap) for cap, seed in cells]
     x_eval = _eval_inputs(config)
-    cfg = replace(config.train_config("pmh", seed), cap=cap)
-    try:
-        net, log = train(cfg, config.net_spec(), source)
-    except TrainingDivergedError:
-        return {"failed": True}
-    zero, _ = tdi(net, x_eval, 0.0, config.mc_draws, derive(seed, "cap-tdi", cap))
-    return {
-        "failed": False,
-        "fraction": (log.steady_state_fraction(), 0.0),
-        "target": (cap / (1.0 + cap), 0.0),
-        "final_task_loss": (float(log.task_loss[-100:].mean()), 0.0),
-        "tdi_at_0": (zero.value, zero.se),
-    }
+    out = []
+    for (cap, seed), trained in zip(cells, train_stacks(config, cfgs)):
+        if isinstance(trained, TrainingDivergedError):
+            out.append({"failed": True})
+            continue
+        net, log = trained
+        zero, _ = tdi(net, x_eval, 0.0, config.mc_draws, derive(seed, "cap-tdi", cap))
+        out.append({
+            "failed": False,
+            "fraction": (log.steady_state_fraction(), 0.0),
+            "target": (cap / (1.0 + cap), 0.0),
+            "final_task_loss": (float(log.task_loss[-100:].mean()), 0.0),
+            "tdi_at_0": (zero.value, zero.se),
+        })
+    return out
 
 
 def run_capsweep(config: ExperimentConfig) -> ResultTable:
@@ -619,8 +667,8 @@ def run_capsweep(config: ExperimentConfig) -> ResultTable:
     cols = ["fraction", "target", "final_task_loss", "tdi_at_0"]
     row_keys = [f"cap@{c:g}" for c in config.cap_grid]
     table = ResultTable("capsweep", row_keys, cols, seed=config.seed)
-    cells = [(config, cap, config.seed) for cap in config.cap_grid]
-    for row, res in zip(row_keys, _run_cells(_capsweep_cell, cells)):
+    cells = [(cap, config.seed) for cap in config.cap_grid]
+    for row, res in zip(row_keys, _run_cells(_capsweep_cells, config, _spread(cells))):
         table.fill(row, res)
     table.validate_rectangular()
     return table
@@ -637,9 +685,9 @@ def run_multiscale(config: ExperimentConfig) -> ResultTable:
     rows = [f"train@{s:g}" for s in grid_t] + ["multiscale"]
     cols = [f"eval@{s:g}" for s in config.sigma_eval]
     table = ResultTable("multiscale", rows, cols, seed=config.seed)
-    cells = [(config, st, derive(config.seed, "ms", st).seed) for st in grid_t]
-    cells.append((config, tuple(config.sigma_range), derive(config.seed, "ms", "range").seed))
-    for row, res in zip(rows, _run_cells(_talign_cell, cells)):
+    cells = [(st, derive(config.seed, "ms", st).seed) for st in grid_t]
+    cells.append((tuple(config.sigma_range), derive(config.seed, "ms", "range").seed))
+    for row, res in zip(rows, _run_cells(_talign_cells, config, _spread(cells))):
         table.fill(row, res)
     table.validate_rectangular()
     return table

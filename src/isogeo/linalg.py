@@ -18,20 +18,23 @@ ORTHO_TOL = 1e-10
 DEGENERATE_TOL = 1e-12
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and convert to a finite 2-D float64 array."""
+def as_matrix(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """Validate and convert to a finite 2-D float64 array; ``stacked``
+    takes a 3-D stack of matrices, one per model."""
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValidationError(f"{name} must be 2-D, got ndim={m.ndim}")
+    if m.ndim != 2 + stacked:
+        raise ValidationError(f"{name} must be {2 + stacked}-D, got ndim={m.ndim}")
     if not np.isfinite(m).all():
         raise ValidationError(f"{name} contains NaN or Inf")
     return m
 
 
-def as_vector(a, name: str = "vector") -> np.ndarray:
+def as_vector(a, name: str = "vector", stacked: bool = False) -> np.ndarray:
+    """Validate and convert to a finite 1-D float64 array; ``stacked``
+    takes a 2-D stack of vectors, one per model."""
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 1:
-        raise ValidationError(f"{name} must be 1-D, got ndim={m.ndim}")
+    if m.ndim != 1 + stacked:
+        raise ValidationError(f"{name} must be {1 + stacked}-D, got ndim={m.ndim}")
     if not np.isfinite(m).all():
         raise ValidationError(f"{name} contains NaN or Inf")
     return m

@@ -9,6 +9,13 @@ single linear layer so its Lipschitz constant is exactly its spectral norm.
 The analytic Jacobian of the encoder at x is the per-layer chain product
 ``diag(act'(a_L)) W_L ... diag(act'(a_1)) W_1``; gradients use the exact
 reverse-mode chain rule for the same graph.
+
+A stack of K networks of one shape (:func:`stack_networks`) carries a leading
+model axis on every weight and bias and takes row batches of shape
+(K, n, d_in).  The forward and reverse kernels serve both forms through the
+same code, with negative axes and broadcasting; no reduction crosses the
+model axis, so every slice of a stack computes what its network computes
+alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,25 +38,26 @@ _MAGIC = b"ISOGEO1"
 
 @dataclass
 class Layer:
-    weight: np.ndarray  # (out_dim, in_dim)
-    bias: np.ndarray  # (out_dim,)
+    weight: np.ndarray  # (out_dim, in_dim); (K, out_dim, in_dim) in a stack
+    bias: np.ndarray  # (out_dim,); (K, out_dim) in a stack
     activation: str
 
     def __post_init__(self):
-        self.weight = as_matrix(self.weight, "weight")
-        self.bias = as_vector(self.bias, "bias")
-        if self.bias.shape[0] != self.weight.shape[0]:
+        stacked = np.ndim(self.weight) == 3
+        self.weight = as_matrix(self.weight, "weight", stacked)
+        self.bias = as_vector(self.bias, "bias", stacked)
+        if self.bias.shape != self.weight.shape[:-1]:
             raise ShapeError("bias length must equal weight rows")
         if self.activation not in ACTIVATIONS:
             raise ValidationError(f"unknown activation {self.activation!r}")
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,8 @@ class MlpEncoderDecoder:
                 )
         if decoder.in_dim != encoder[-1].out_dim:
             raise ShapeError("decoder input dim must equal final encoder output dim")
+        if len({layer.weight.shape[:-2] for layer in [*encoder, decoder]}) != 1:
+            raise ShapeError("every layer of a stack must hold the same number of models")
         self.encoder = encoder
         self.decoder = decoder
 
@@ -100,6 +110,11 @@ class MlpEncoderDecoder:
     def out_dim(self) -> int:
         return self.decoder.out_dim
 
+    @property
+    def models(self) -> tuple:
+        """() for one network, (K,) for a stack of K."""
+        return self.decoder.weight.shape[:-2]
+
     def copy(self) -> "MlpEncoderDecoder":
         enc = [Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.encoder]
         dec = Layer(self.decoder.weight.copy(), self.decoder.bias.copy(), "identity")
@@ -110,6 +125,19 @@ class MlpEncoderDecoder:
         for layer in self.encoder:
             yield layer
         yield self.decoder
+
+
+def stack_networks(nets: list) -> MlpEncoderDecoder:
+    """Networks of one shape as one stack: every weight and bias gains a
+    leading model axis whose slice k holds nets[k]'s values."""
+    if len({tuple((l.weight.shape, l.activation) for l in n.parameters()) for n in nets}) != 1:
+        raise ShapeError("a stack needs at least one network, all of one shape")
+    layers = [
+        Layer(np.stack([l.weight for l in group]), np.stack([l.bias for l in group]),
+              group[0].activation)
+        for group in zip(*[list(n.parameters()) for n in nets])
+    ]
+    return MlpEncoderDecoder(layers[:-1], layers[-1])
 
 
 def init_network(spec: NetSpec, rng: RngState) -> tuple[MlpEncoderDecoder, RngState]:
@@ -134,17 +162,25 @@ def _act_deriv_from_output(z: np.ndarray, activation: str) -> np.ndarray:
 
 
 def _as_input(net: MlpEncoderDecoder, x) -> np.ndarray:
-    h = as_matrix(np.atleast_2d(x), "x")
-    if h.shape[1] != net.input_dim:
-        raise ShapeError(f"x has {h.shape[1]} columns, expected {net.input_dim}")
+    """x as a finite float64 row batch: (n, d_in), or (K, n, d_in) for a
+    stack of K networks."""
+    models = net.models
+    h = as_matrix(np.atleast_2d(x), "x", stacked=bool(models))
+    if h.shape[:-2] != models or h.shape[-1] != net.input_dim:
+        raise ShapeError(f"x has shape {h.shape}, expected {models} + (n, {net.input_dim})")
     return h
+
+
+# The kernels below serve one network and a stack alike: ``.swapaxes(-1, -2)``
+# transposes every matrix of a stack, and ``bias[..., None, :]`` is a bias
+# row that broadcasts over the batch rows.
 
 
 def _encoder_trace(net: MlpEncoderDecoder, h: np.ndarray) -> list[np.ndarray]:
     trace = []
     for layer in net.encoder:
-        h = h @ layer.weight.T
-        h += layer.bias
+        h = h @ layer.weight.swapaxes(-1, -2)
+        h += layer.bias[..., None, :]
         if layer.activation == "tanh":
             np.tanh(h, out=h)
         trace.append(h)
@@ -159,29 +195,41 @@ def encoder_forward(net: MlpEncoderDecoder, x) -> list[np.ndarray]:
 def forward_with_trace(net: MlpEncoderDecoder, x) -> tuple[np.ndarray, list[np.ndarray]]:
     """Prediction and the full per-layer activation trace."""
     trace = encoder_forward(net, x)
-    pred = trace[-1] @ net.decoder.weight.T + net.decoder.bias
+    pred = trace[-1] @ net.decoder.weight.swapaxes(-1, -2) + net.decoder.bias[..., None, :]
     return pred, trace
+
+
+def _per_model(c) -> tuple:
+    """A scalar, or one value per model of a stack, shaped to broadcast
+    against (weights, biases)."""
+    c = np.asarray(c)
+    return c[..., None, None], c[..., None]
 
 
 @dataclass
 class ParamGrads:
-    """Gradients mirroring the network structure."""
+    """Gradients mirroring the network structure (with the leading model
+    axis of a stack)."""
 
     encoder: list  # list of (dW, db)
     decoder: tuple  # (dW, db)
 
-    def scaled(self, c: float) -> "ParamGrads":
-        return ParamGrads(
-            [(c * dw, c * db) for dw, db in self.encoder],
-            (c * self.decoder[0], c * self.decoder[1]),
-        )
+    def pairs(self) -> list:
+        return [*self.encoder, self.decoder]
 
-    def add_(self, other: "ParamGrads") -> "ParamGrads":
-        for (dw, db), (ow, ob) in zip(self.encoder, other.encoder):
-            dw += ow
-            db += ob
-        self.decoder[0][...] += other.decoder[0]
-        self.decoder[1][...] += other.decoder[1]
+    def scaled(self, c) -> "ParamGrads":
+        """Every gradient times c: a scalar, or one factor per model."""
+        cw, cb = _per_model(c)
+        out = [(cw * dw, cb * db) for dw, db in self.pairs()]
+        return ParamGrads(out[:-1], out[-1])
+
+    def add_(self, other: "ParamGrads", where=True) -> "ParamGrads":
+        """Add other in place; ``where`` (one flag per model of a stack)
+        leaves the models it marks False untouched."""
+        ww, wb = (True, True) if where is True else _per_model(where)
+        for (dw, db), (ow, ob) in zip(self.pairs(), other.pairs()):
+            np.add(dw, ow, out=dw, where=ww)
+            np.add(db, ob, out=db, where=wb)
         return self
 
 
@@ -207,7 +255,7 @@ def _encoder_backward_chain(
             dh = dh + up
         da = dh * _act_deriv_from_output(trace[li], layer.activation)
         prev = trace[li - 1] if li > 0 else x
-        grads[li] = (da.T @ prev, da.sum(axis=0))
+        grads[li] = (da.swapaxes(-1, -2) @ prev, da.sum(axis=-2))
         dh = da @ layer.weight
     return grads, dh
 
@@ -223,18 +271,18 @@ def backward(
     ``grad_pred`` is dLoss/dPrediction with the same shape as the forward
     prediction; a trace from the matching forward pass is required.
     """
-    x = as_matrix(np.atleast_2d(x), "x")
+    x = _as_input(net, x)
     if trace is None or len(trace) != net.n_layers:
         raise ValidationError("backward requires the forward trace for x")
-    if trace[0].shape[0] != x.shape[0]:
+    if trace[0].shape[:-1] != x.shape[:-1]:
         raise ShapeError("trace batch size does not match x")
     grad_pred = np.atleast_2d(np.asarray(grad_pred, dtype=np.float64))
-    if grad_pred.shape != (x.shape[0], net.out_dim):
+    if grad_pred.shape != x.shape[:-1] + (net.out_dim,):
         raise ShapeError(
-            f"grad_pred shape {grad_pred.shape} != {(x.shape[0], net.out_dim)}"
+            f"grad_pred shape {grad_pred.shape} != {x.shape[:-1] + (net.out_dim,)}"
         )
-    dec_dw = grad_pred.T @ trace[-1]
-    dec_db = grad_pred.sum(axis=0)
+    dec_dw = grad_pred.swapaxes(-1, -2) @ trace[-1]
+    dec_db = grad_pred.sum(axis=-2)
     d_rep = grad_pred @ net.decoder.weight
     upstream = [None] * net.n_layers
     upstream[-1] = d_rep
@@ -251,7 +299,7 @@ def encoder_backward(
     """Encoder-only gradients with per-layer upstream injection (decoder
     gradients are zero).  Used by representation-matching penalties that
     read intermediate layers."""
-    x = as_matrix(np.atleast_2d(x), "x")
+    x = _as_input(net, x)
     enc_grads, _ = _encoder_backward_chain(net, x, trace, upstream_per_layer)
     return ParamGrads(
         enc_grads, (np.zeros_like(net.decoder.weight), np.zeros_like(net.decoder.bias))
@@ -259,10 +307,16 @@ def encoder_backward(
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    e = logits - logits.max(axis=1, keepdims=True)
+    e = logits - logits.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
+
+
+def label_mask(labels, n_classes: int) -> np.ndarray:
+    """Boolean rows, True at each label's class.  Subtracting one from a
+    probability row is exact: p - 0 = p, and p - 1 is the one rounding."""
+    return np.asarray(labels)[..., None] == np.arange(n_classes)
 
 
 def _per_sample_pred_grad(pred: np.ndarray, y, loss: str) -> np.ndarray:
@@ -271,15 +325,14 @@ def _per_sample_pred_grad(pred: np.ndarray, y, loss: str) -> np.ndarray:
         target = np.asarray(y, dtype=np.float64)
         if target.ndim == 0:
             target = target.reshape(1, 1)
-        elif target.ndim == 1:
-            target = target[:, None]
+        elif target.ndim == pred.ndim - 1:
+            target = target[..., None]
         if target.shape != pred.shape:
             raise ShapeError(f"y shape {target.shape} incompatible with prediction {pred.shape}")
         return 2.0 * (pred - target)
     if loss == "cross-entropy":
-        labels = np.asarray(y)
         grad = softmax(pred)
-        grad[np.arange(pred.shape[0]), labels] -= 1.0
+        grad -= label_mask(y, pred.shape[-1])
         return grad
     raise ValidationError(f"unknown loss tag {loss!r}; expected 'mse' or 'cross-entropy'")
 
@@ -294,8 +347,8 @@ def input_gradient(net: MlpEncoderDecoder, x, y, loss: str = "mse") -> np.ndarra
     """
     x = np.asarray(x, dtype=np.float64)
     trace = _encoder_trace(net, _as_input(net, x))
-    pred = trace[-1] @ net.decoder.weight.T
-    pred += net.decoder.bias
+    pred = trace[-1] @ net.decoder.weight.swapaxes(-1, -2)
+    pred += net.decoder.bias[..., None, :]
     dh = _per_sample_pred_grad(pred, y, loss) @ net.decoder.weight
     for layer, z in zip(reversed(net.encoder), reversed(trace)):
         if layer.activation == "tanh":
@@ -305,7 +358,7 @@ def input_gradient(net: MlpEncoderDecoder, x, y, loss: str = "mse") -> np.ndarra
             z *= dh
             dh = z
         dh = dh @ layer.weight
-    return dh if x.ndim == 2 else dh[0]
+    return dh if x.ndim > 1 else dh[0]
 
 
 def encoder_jacobian(net: MlpEncoderDecoder, x) -> np.ndarray:
@@ -331,11 +384,9 @@ def batch_encoder_jacobians(net: MlpEncoderDecoder, x) -> np.ndarray:
 
 
 def sgd_step(net: MlpEncoderDecoder, grads: ParamGrads, lr: float) -> None:
-    for layer, (dw, db) in zip(net.encoder, grads.encoder):
+    for layer, (dw, db) in zip(net.parameters(), grads.pairs()):
         layer.weight -= lr * dw
         layer.bias -= lr * db
-    net.decoder.weight -= lr * grads.decoder[0]
-    net.decoder.bias -= lr * grads.decoder[1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,14 @@ step-identical to ERM) and adds lam * w(t) * L_pmh, where w(t) is a warmup
 ramp and lam is rescaled per step so the logged penalty never exceeds
 cap * task loss.  At steady state that rescaling pins the penalty fraction
 to cap / (1 + cap).
+
+Nets of one shape can train as one stack (:func:`train_stack`): the network
+kernels, the losses, the PMH penalty and the PGD attack all take a leading
+model axis K, while each member keeps its own init, data, noise and sigma
+streams and its own cap rescaling.  No reduction crosses the model axis, so
+every member ends with the weights and the log of its solo run, bit for bit,
+and a member that diverges leaves the stack without touching the others.
+:func:`train` is the stack of one.
 """
 
 from __future__ import annotations
@@ -35,8 +43,10 @@ from .network import (
     forward_with_trace,
     init_network,
     input_gradient,
+    label_mask,
     sgd_step,
     softmax,
+    stack_networks,
 )
 from .rng import RngState, derive, normal, uniform
 
@@ -46,25 +56,32 @@ OBJECTIVES = ("erm", "pgd", "pmh")
 # ---------------------------------------------------------------------------
 # Losses (batch-mean value plus gradient on the prediction)
 # ---------------------------------------------------------------------------
+# A prediction of shape (n, out) gives a float value; a stack's (K, n, out)
+# gives one value per member.
 
 
-def mse_loss(pred: np.ndarray, y) -> tuple[float, np.ndarray]:
+def _value(v):
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def mse_loss(pred: np.ndarray, y):
     target = np.asarray(y, dtype=np.float64)
-    if target.ndim == 1:
-        target = target[:, None]
+    if target.ndim == pred.ndim - 1:
+        target = target[..., None]
     diff = pred - target
-    n = pred.shape[0]
-    return float(np.sum(diff**2) / n), 2.0 * diff / n
+    n = pred.shape[-2]
+    return _value((diff**2).sum(axis=(-2, -1)) / n), 2.0 * diff / n
 
 
-def cross_entropy_loss(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+def cross_entropy_loss(logits: np.ndarray, labels):
     labels = np.asarray(labels)
-    n = logits.shape[0]
-    z = logits - logits.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    value = float(-logp[np.arange(n), labels].mean())
+    n = logits.shape[-2]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    hot = label_mask(labels, logits.shape[-1])
+    value = _value(-logp[hot].reshape(labels.shape).mean(axis=-1))
     grad = softmax(logits)
-    grad[np.arange(n), labels] -= 1.0
+    grad -= hot
     return value, grad / n
 
 
@@ -119,25 +136,31 @@ def warmup_weight(t: int, schedule: WarmupSchedule) -> float:
 def pmh_loss(
     net: MlpEncoderDecoder,
     x: np.ndarray,
-    sigma: float,
-    rng: RngState,
-) -> tuple[float, ParamGrads, np.ndarray, RngState]:
+    sigma,
+    rng,
+) -> tuple:
     """Representation-matching penalty on the encoder output and its encoder
     gradients.
 
     One fresh noise row per batch row; gradients flow through both the clean
     and the noisy branch.  Returns (value, grads, x_noisy, rng) so the caller
-    can reuse the perturbed batch for the noisy task view.
+    can reuse the perturbed batch for the noisy task view.  For a stack, x is
+    (K, n, d), sigma and rng hold one entry per member, each member's noise
+    comes from its own stream, and value and rng come back per member.
     """
-    if sigma < 0:
-        raise ValidationError(f"sigma must be >= 0, got {sigma}")
-    n = x.shape[0]
-    delta, rng = normal(rng, x.shape, sigma)
+    stacked = bool(net.models)
+    sigmas, rngs = (sigma, rng) if stacked else ((sigma,), (rng,))
+    if min(sigmas) < 0:
+        raise ValidationError(f"sigma must be >= 0, got {min(sigmas)}")
+    n = x.shape[-2]
+    draws = [normal(r, x.shape[-2:], s) for r, s in zip(rngs, sigmas)]
+    rngs = [r for _, r in draws]
+    delta = np.array([d for d, _ in draws]) if stacked else draws[0][0]
     x_noisy = x + delta
     trace_c = encoder_forward(net, x)
     trace_n = encoder_forward(net, x_noisy)
     diff = trace_c[-1] - trace_n[-1]
-    value = float(np.sum(diff**2) / n)
+    value = _value((diff**2).sum(axis=(-2, -1)) / n)
     up = 2.0 * diff / n
     ups_clean = [None] * len(trace_c)
     ups_noisy = [None] * len(trace_c)
@@ -145,7 +168,7 @@ def pmh_loss(
     ups_noisy[-1] = -up
     grads = encoder_backward(net, x, trace_c, ups_clean)
     grads.add_(encoder_backward(net, x_noisy, trace_n, ups_noisy))
-    return value, grads, x_noisy, rng
+    return value, grads, x_noisy, rngs if stacked else rngs[0]
 
 
 def cap_rescale(l_task: float, l_pmh_raw: float, lam: float, cap: float) -> float:
@@ -197,7 +220,8 @@ def pgd_attack(
     [-epsilon, epsilon], so the constraint holds exactly on return.  An input
     gradient with a NaN (a diverged network) ends the attack early with the
     last finite delta; the caller's loss at x + delta then shows the
-    divergence.
+    divergence.  In a stack that ends the attack of that member only: its
+    delta stays as it is while the others go on.
     """
     if epsilon < 0:
         raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
@@ -206,10 +230,16 @@ def pgd_attack(
     if epsilon == 0.0:
         return np.zeros_like(x)
     delta = np.zeros_like(x, dtype=np.float64)
+    stopped = None  # per member of a stack, once some attack has ended
     for _ in range(steps):
         g = input_gradient(net, x + delta, y, loss)
         if np.isnan(g).any():
-            break
+            nan = np.isnan(g.reshape(net.models + (-1,))).any(axis=-1)
+            stopped = nan if stopped is None else stopped | nan
+            if stopped.all():
+                break
+        if stopped is not None:
+            g[stopped] = 0.0  # sign 0: those members' deltas stay put
         np.sign(g, out=g)
         g *= step_size
         delta += g
@@ -299,12 +329,163 @@ def _sigma_for_step(config: TrainConfig, rng_sigma: RngState) -> tuple[float, Rn
     return float(config.sigma_train), rng_sigma
 
 
+# Fields every member of a stack shares; members may differ in seed,
+# sigma_train, cap and lam.
+_SHARED = ("objective", "steps", "batch_size", "lr", "loss", "warmup", "pgd")
+
+
+@dataclass
+class _Member:
+    """One net of a stack: its place in the caller's list, its config, and
+    its own data, noise and sigma streams."""
+
+    index: int
+    config: TrainConfig
+    data: RngState
+    noise: RngState
+    sigma: RngState
+
+
+def _take_models(stack: MlpEncoderDecoder, index) -> None:
+    """Keep only the models at index of a stack, in place."""
+    for layer in stack.parameters():
+        layer.weight = layer.weight[index]
+        layer.bias = layer.bias[index]
+
+
+def train_stack(configs, spec: NetSpec, data_source) -> list:
+    """SGD training of nets of one shape as one stack, each member
+    deterministic under its own config.seed.
+
+    The members share objective, steps, batch_size, lr, loss, warmup and
+    pgd (a ValidationError names any that differ) and may differ in seed,
+    sigma_train (a (lo, hi) range included), cap and lam.  Each member draws
+    its init, data, noise and sigma streams from its own seed, one member at
+    a time, and rescales its own penalty weight, so it sees exactly what it
+    sees when trained alone.  ``data_source(rng, n) -> (x, y, rng)`` supplies
+    one member's batch.
+
+    Returns one entry per config, in order: the member's (net, TrainLog),
+    or the TrainingDivergedError its solo run raises.  A diverged member
+    leaves the stack at the step its loss goes non-finite.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValidationError("train_stack needs at least one config")
+    head = configs[0]
+    differ = [f for f in _SHARED if any(getattr(c, f) != getattr(head, f) for c in configs)]
+    if differ:
+        raise ValidationError(f"stack members must share {', '.join(differ)}")
+    nets = [init_network(spec, derive(c.seed, "init"))[0] for c in configs]
+    stack = stack_networks(nets)
+    members = [
+        _Member(i, c, derive(c.seed, "data"), derive(c.seed, "noise"), derive(c.seed, "sigma"))
+        for i, c in enumerate(configs)
+    ]
+    results: list = [None] * len(configs)
+
+    steps = head.steps
+    logs = np.zeros((3, len(configs), steps))  # task, pmh, eff_lambda
+    log_warm = np.zeros(steps)
+    rows = slice(None)  # the members' rows of logs
+
+    # A diverging step overflows before its loss turns non-finite; the
+    # check below turns it into TrainingDivergedError, so numpy's warnings
+    # would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            batches = [data_source(m.data, head.batch_size) for m in members]
+            x = np.array([b[0] for b in batches])
+            y = np.array([b[1] for b in batches])
+            for m, b in zip(members, batches):
+                m.data = b[2]
+            w_t = warmup_weight(t, head.warmup)
+
+            if head.objective == "erm":
+                pred, trace = forward_with_trace(stack, x)
+                l_task, g_pred = task_loss(pred, y, head.loss)
+                grads = backward(stack, x, trace, g_pred)
+                pmh_term = lam_eff = np.zeros(len(members))
+
+            elif head.objective == "pgd":
+                delta = pgd_attack(
+                    stack,
+                    x,
+                    y,
+                    head.pgd.epsilon,
+                    head.pgd.steps,
+                    head.pgd.resolved_step_size(),
+                    head.loss,
+                )
+                x_adv = x + delta
+                pred, trace = forward_with_trace(stack, x_adv)
+                l_task, g_pred = task_loss(pred, y, head.loss)
+                grads = backward(stack, x_adv, trace, g_pred)
+                pmh_term = lam_eff = np.zeros(len(members))
+
+            else:  # pmh
+                sigma = []
+                for m in members:
+                    sigma_t, m.sigma = _sigma_for_step(m.config, m.sigma)
+                    sigma.append(sigma_t)
+                l_raw, pmh_grads, x_noisy, noise = pmh_loss(
+                    stack, x, sigma, [m.noise for m in members]
+                )
+                for m, rng in zip(members, noise):
+                    m.noise = rng
+                pred, trace = forward_with_trace(stack, x)
+                l_clean, g_pred = task_loss(pred, y, head.loss)
+                pred_n, trace_n = forward_with_trace(stack, x_noisy)
+                l_noisy, g_pred_n = task_loss(pred_n, y, head.loss)
+                l_task = 0.5 * (l_clean + l_noisy)
+                grads = backward(stack, x, trace, 0.5 * g_pred)
+                grads.add_(backward(stack, x_noisy, trace_n, 0.5 * g_pred_n))
+                lam_eff = np.array([
+                    cap_rescale(float(task), float(raw), m.config.lam * w_t, m.config.cap)
+                    for m, task, raw in zip(members, l_task, l_raw)
+                ])
+                on = lam_eff > 0.0
+                if on.any():
+                    grads.add_(pmh_grads.scaled(lam_eff), where=True if on.all() else on)
+                pmh_term = lam_eff * l_raw
+
+            sgd_step(stack, grads, head.lr)
+            logs[:, rows, t] = l_task, pmh_term, lam_eff
+            log_warm[t] = w_t
+
+            finite = np.isfinite(l_task) & np.isfinite(pmh_term)
+            if not finite.all():  # those members leave; their last update is void
+                for m, ok in zip(members, finite):
+                    if not ok:
+                        results[m.index] = TrainingDivergedError(
+                            f"loss diverged at step {t}", step=t
+                        )
+                keep = np.flatnonzero(finite)
+                members = [members[i] for i in keep]
+                if not members:
+                    return results
+                rows = [m.index for m in members]
+                _take_models(stack, keep)
+
+    for k, m in enumerate(members):
+        net = nets[m.index]
+        for layer, stacked in zip(net.parameters(), stack.parameters()):
+            layer.weight, layer.bias = stacked.weight[k].copy(), stacked.bias[k].copy()
+        task, pmh, lam = (row.copy() for row in logs[:, m.index])
+        total = task + pmh
+        frac = np.divide(pmh, total, out=np.zeros(steps), where=total > 0)
+        log = TrainLog(np.arange(steps, dtype=np.int64), task, pmh, lam, frac, log_warm.copy())
+        results[m.index] = (net, log)
+    return results
+
+
 def train(
     config: TrainConfig,
     spec: NetSpec,
     data_source,
 ) -> tuple[MlpEncoderDecoder, TrainLog]:
-    """SGD training loop, deterministic under config.seed.
+    """SGD training loop, deterministic under config.seed: the stack of one
+    (see train_stack).
 
     ``data_source(rng, n) -> (x, y, rng)`` supplies fresh batches.  The
     objective selects the per-step loss:
@@ -317,74 +498,7 @@ def train(
     Raises TrainingDivergedError with the step index if the loss goes
     non-finite.
     """
-    net, _ = init_network(spec, derive(config.seed, "init"))
-    rng_data = derive(config.seed, "data")
-    rng_noise = derive(config.seed, "noise")
-    rng_sigma = derive(config.seed, "sigma")
-
-    steps = config.steps
-    log_step = np.arange(steps, dtype=np.int64)
-    log_task = np.zeros(steps)
-    log_pmh = np.zeros(steps)
-    log_lam = np.zeros(steps)
-    log_frac = np.zeros(steps)
-    log_warm = np.zeros(steps)
-
-    # A diverging step overflows before its loss turns non-finite; the
-    # check below raises TrainingDivergedError for it, so numpy's warnings
-    # would only repeat that.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            x, y, rng_data = data_source(rng_data, config.batch_size)
-            w_t = warmup_weight(t, config.warmup)
-
-            if config.objective == "erm":
-                pred, trace = forward_with_trace(net, x)
-                l_task, g_pred = task_loss(pred, y, config.loss)
-                grads = backward(net, x, trace, g_pred)
-                pmh_term, lam_eff = 0.0, 0.0
-
-            elif config.objective == "pgd":
-                delta = pgd_attack(
-                    net,
-                    x,
-                    y,
-                    config.pgd.epsilon,
-                    config.pgd.steps,
-                    config.pgd.resolved_step_size(),
-                    config.loss,
-                )
-                x_adv = x + delta
-                pred, trace = forward_with_trace(net, x_adv)
-                l_task, g_pred = task_loss(pred, y, config.loss)
-                grads = backward(net, x_adv, trace, g_pred)
-                pmh_term, lam_eff = 0.0, 0.0
-
-            else:  # pmh
-                sigma_t, rng_sigma = _sigma_for_step(config, rng_sigma)
-                l_raw, pmh_grads, x_noisy, rng_noise = pmh_loss(net, x, sigma_t, rng_noise)
-                pred, trace = forward_with_trace(net, x)
-                l_clean, g_pred = task_loss(pred, y, config.loss)
-                pred_n, trace_n = forward_with_trace(net, x_noisy)
-                l_noisy, g_pred_n = task_loss(pred_n, y, config.loss)
-                l_task = 0.5 * (l_clean + l_noisy)
-                grads = backward(net, x, trace, 0.5 * g_pred)
-                grads.add_(backward(net, x_noisy, trace_n, 0.5 * g_pred_n))
-                lam_eff = cap_rescale(l_task, l_raw, config.lam * w_t, config.cap)
-                if lam_eff > 0.0:
-                    grads.add_(pmh_grads.scaled(lam_eff))
-                pmh_term = lam_eff * l_raw
-
-            if not np.isfinite(l_task) or not np.isfinite(pmh_term):
-                raise TrainingDivergedError(f"loss diverged at step {t}", step=t)
-
-            sgd_step(net, grads, config.lr)
-
-            log_task[t] = l_task
-            log_pmh[t] = pmh_term
-            log_lam[t] = lam_eff
-            total = l_task + pmh_term
-            log_frac[t] = pmh_term / total if total > 0 else 0.0
-            log_warm[t] = w_t
-
-    return net, TrainLog(log_step, log_task, log_pmh, log_lam, log_frac, log_warm)
+    (result,) = train_stack([config], spec, data_source)
+    if isinstance(result, TrainingDivergedError):
+        raise result
+    return result

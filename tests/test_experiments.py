@@ -243,13 +243,30 @@ class TestRunners:
         assert "multiscale" in table.row_keys
         table.validate_rectangular()
 
-    def test_worker_pool_matches_serial(self, monkeypatch):
-        cfg = small_config(kind="capsweep", steps=400, cap_grid=(0.2, 0.4))
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(kind="capsweep", steps=400, cap_grid=(0.2, 0.4)),
+            # 8 cells: one stack serially, two stacks of 4 on two workers
+            dict(kind="talign", loss="mse", steps=150, seeds_per_cell=4),
+        ],
+        ids=["capsweep", "talign-8-cells"],
+    )
+    def test_worker_pool_matches_serial(self, monkeypatch, overrides):
+        cfg = small_config(**overrides)
         monkeypatch.setenv("ISOGEO_THREADS", "1")
-        t_serial = xp.run_capsweep(cfg)
+        t_serial = xp.run_experiment(cfg)
         monkeypatch.setenv("ISOGEO_THREADS", "2")
-        t_parallel = xp.run_capsweep(cfg)
+        t_parallel = xp.run_experiment(cfg)
         assert t_serial.cells == t_parallel.cells
+
+    def test_stacks_hold_at_most_stack_size_and_cover_the_workers(self):
+        cells = list(range(32))
+        assert [len(s) for s in xp.stacks(cells)] == [8, 8, 8, 8]
+        assert [len(s) for s in xp.stacks(cells[:9])] == [5, 4]
+        assert [len(s) for s in xp.stacks(cells[:8], 2)] == [4, 4]
+        assert [len(s) for s in xp.stacks(cells[:2], 3)] == [1, 1]
+        assert sum(xp.stacks(cells[:13], 2), []) == cells[:13]
 
 
 # Mean TDI of the default talign grid (rows sigma_train, columns sigma_eval,
@@ -365,6 +382,28 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         assert "Traceback" not in res.stderr
         assert json.loads((outdir / "compare.json").read_text())["failed_rows"] == ["erm", "pgd"]
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+    def test_bad_thread_count_exit_two(self, tmp_path, threads):
+        cfgf = tmp_path / "c.ini"
+        outdir = tmp_path / "out"
+        cfgf.write_text(
+            f"[experiment]\nkind = compare\noutdir = {outdir}\n"
+            "[train]\nsteps = 5\nmethods = erm\n[eval]\neval_rows = 16\nmc_draws = 2\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-m", "isogeo.cli", "compare", "--config", str(cfgf)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "ISOGEO_THREADS": threads},
+        )
+        assert res.returncode == 2
+        assert (
+            f"config error: ISOGEO_THREADS must be an integer >= 1, got '{threads}'"
+            in res.stderr
+        )
+        assert "Traceback" not in res.stderr
+        assert not outdir.exists()
 
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfgf = tmp_path / "c.ini"

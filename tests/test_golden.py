@@ -99,6 +99,16 @@ def _reports(tmp_path):
     return out
 
 
+def _adversarial_seeds(tmp_path):
+    # two seeds, so every objective trains more than one net
+    report = ck.check_adversarial_geometry_signature(
+        seed=22, n_seeds=2, config=xp.ExperimentConfig(kind="compare", steps=60, mc_draws=8)
+    )
+    out = str(tmp_path / "adversarial_seeds.json")
+    ck.write_reports([report], out)
+    return {"json": out}
+
+
 def _diagnose(tmp_path):
     spec = NetSpec(input_dim=16, hidden=(32,), rep_dim=16, out_dim=1, activation="tanh")
     net, _ = init_network(spec, derive(20, "golden-net"))
@@ -119,6 +129,7 @@ def _export(tmp_path):
 
 
 PRODUCERS = {
+    "adversarial_seeds": _adversarial_seeds,
     "capsweep": _capsweep,
     "compare": _compare,
     "compare_pgd": _compare_pgd,
@@ -131,6 +142,7 @@ PRODUCERS = {
 }
 
 DIGESTS = {
+    "adversarial_seeds:json": "dc4a2febfd17c4f0e02a0c255b32316657a66e8ed683e10b9b3fd2ebcaade0d2",
     "capsweep:csv": "4199ffdf3623f098fb44480f517bd114de20f907f14fa9543e2771b98af35b30",
     "capsweep:json": "1c173630e8aef1ede08ed880686824ca5b86067a08eed76c4d2ef7bfd4e9b50f",
     "compare:csv": "33d8acca18951c379348a38cb6b4b5f01e03896b6f6570ac11008ecda03e712f",

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isogeo.data import GaussianNuisanceModel, model_batch_source, sample
+from isogeo.data import GaussianNuisanceModel, model_batch_source, sample, threshold_labels
 from isogeo.errors import TrainingDivergedError, ValidationError
 from isogeo.network import (
     Layer,
     MlpEncoderDecoder,
     NetSpec,
+    backward,
     forward_with_trace,
     init_network,
     input_gradient,
+    stack_networks,
 )
 from isogeo.objectives import (
     PgdConfig,
@@ -26,6 +28,7 @@ from isogeo.objectives import (
     pgd_attack,
     pmh_loss,
     train,
+    train_stack,
     warmup_weight,
 )
 from isogeo.rng import RngState, normal
@@ -397,6 +400,136 @@ class TestTrain:
         log.to_csv(str(path))
         loaded = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(loaded[:, 1], log.task_loss)
+
+
+def _same_run(stacked, solo):
+    """Weights and every TrainLog column equal bit for bit."""
+    (net_a, log_a), (net_b, log_b) = stacked, solo
+    for a, b in zip(net_a.parameters(), net_b.parameters()):
+        assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
+    for field in ("step", "task_loss", "pmh_loss", "eff_lambda", "fraction", "warmup"):
+        assert np.array_equal(getattr(log_a, field), getattr(log_b, field)), field
+
+
+def _label_source(model):
+    def source(rng, n):
+        batch, rng = sample(model, n, rng)
+        return batch.x, threshold_labels(batch.y), rng
+
+    return source
+
+
+class TestTrainStack:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        objective=st.sampled_from(["erm", "pgd", "pmh"]),
+        loss=st.sampled_from(["mse", "cross-entropy"]),
+        activation=st.sampled_from(["tanh", "identity"]),
+        hidden=st.lists(st.integers(3, 9), min_size=0, max_size=2),
+        members=st.lists(
+            st.tuples(
+                st.integers(0, 2**32),
+                st.sampled_from([0.0, 0.05, 0.3, 2.0]),
+                st.sampled_from([0.0, 0.1, 0.5, (0.05, 0.5), (0.2, 0.2)]),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_every_member_equals_its_solo_run(
+        self, objective, loss, activation, hidden, members
+    ):
+        model = GaussianNuisanceModel.canonical(4, 4, 0.5, 0.1)
+        out_dim = 2 if loss == "cross-entropy" else 1
+        spec = NetSpec(8, tuple(hidden), 5, out_dim, activation)
+        source = _label_source(model) if loss == "cross-entropy" else model_batch_source(model)
+        configs = [
+            TrainConfig(
+                objective=objective, sigma_train=sigma, cap=cap, lam=10.0, lr=0.1, steps=12,
+                batch_size=6, seed=seed, loss=loss, warmup=WarmupSchedule(t0=2, duration=4),
+                pgd=PgdConfig(epsilon=0.2, steps=3),
+            )
+            for seed, cap, sigma in members
+        ]
+        for stacked, config in zip(train_stack(configs, spec, source), configs):
+            _same_run(stacked, train(config, spec, source))
+
+    def test_mixed_activation_layers_match_per_slice(self):
+        # NetSpec gives every layer one activation; a stack of hand-built
+        # nets mixes tanh and identity layers through the same kernels.
+        rng = RngState(40)
+        nets = []
+        for _ in range(3):
+            w1, rng = normal(rng, (5, 4), 0.5)
+            w2, rng = normal(rng, (3, 5), 0.5)
+            w3, rng = normal(rng, (2, 3), 0.5)
+            nets.append(MlpEncoderDecoder(
+                [Layer(w1, np.zeros(5), "tanh"), Layer(w2, np.full(3, 0.1), "identity")],
+                Layer(w3, np.zeros(2), "identity"),
+            ))
+        x, rng = normal(rng, (3, 7, 4))
+        y = np.array([[0, 1, 1, 0, 1, 0, 0]] * 3)
+        stack = stack_networks(nets)
+        pred, trace = forward_with_trace(stack, x)
+        grads = backward(stack, x, trace, pred)
+        g_in = input_gradient(stack, x, y, "cross-entropy")
+        delta = pgd_attack(stack, x, y, 0.3, 4, 0.1, "cross-entropy")
+        for k, net in enumerate(nets):
+            pred_k, trace_k = forward_with_trace(net, x[k])
+            grads_k = backward(net, x[k], trace_k, pred_k)
+            assert np.array_equal(pred[k], pred_k)
+            for (dw, db), (dw_k, db_k) in zip(grads.pairs(), grads_k.pairs()):
+                assert np.array_equal(dw[k], dw_k) and np.array_equal(db[k], db_k)
+            assert np.array_equal(g_in[k], input_gradient(net, x[k], y[k], "cross-entropy"))
+            assert np.array_equal(
+                delta[k], pgd_attack(net, x[k], y[k], 0.3, 4, 0.1, "cross-entropy")
+            )
+
+    @pytest.mark.parametrize("objective", ["pmh", "pgd"])
+    def test_diverging_members_leave_the_others_untouched(self, gauss_model, objective):
+        # An identity encoder diverges on its own: under pmh the member fed
+        # noise of scale 100, under pgd at lr 0.3 every seed but one, each
+        # at its own step (so the stack's attack meets a NaN input gradient
+        # in one member while the others go on).  Every member must end as
+        # its solo run does, and no numpy warning may surface.
+        spec = NetSpec(input_dim=8, hidden=(16,), rep_dim=8, out_dim=1, activation="identity")
+        if objective == "pmh":
+            base = dict(objective="pmh", lr=0.05, steps=60, batch_size=16,
+                        warmup=WarmupSchedule(t0=5, duration=10))
+            configs = [
+                TrainConfig(sigma_train=0.1, seed=1, **base),
+                TrainConfig(sigma_train=100.0, seed=2, **base),
+                TrainConfig(sigma_train=(0.05, 0.2), cap=0.1, seed=3, **base),
+            ]
+        else:
+            base = dict(objective="pgd", lr=0.3, steps=60, batch_size=16,
+                        pgd=PgdConfig(epsilon=0.3, steps=5))
+            configs = [TrainConfig(seed=seed, **base) for seed in range(6)]
+        source = model_batch_source(gauss_model)
+        diverged = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = train_stack(configs, spec, source)
+            for config, stacked in zip(configs, results):
+                try:
+                    solo = train(config, spec, source)
+                except TrainingDivergedError as err:
+                    assert isinstance(stacked, TrainingDivergedError)
+                    assert 0 < stacked.step == err.step < config.steps
+                    diverged += 1
+                else:
+                    _same_run(stacked, solo)
+        assert 0 < diverged < len(configs)
+
+    @pytest.mark.parametrize(
+        "field,value", [("lr", 0.2), ("steps", 7), ("objective", "erm")]
+    )
+    def test_members_must_share_training_settings(self, gauss_model, field, value):
+        spec = NetSpec(input_dim=8, hidden=(), rep_dim=4, out_dim=1, activation="tanh")
+        first = TrainConfig(objective="pmh", lr=0.1, steps=5, seed=1)
+        other = TrainConfig(**{**dict(objective="pmh", lr=0.1, steps=5, seed=2), field: value})
+        with pytest.raises(ValidationError, match=field):
+            train_stack([first, other], spec, model_batch_source(gauss_model))
 
 
 class TestLosses:
