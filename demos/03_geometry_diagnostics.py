@@ -45,7 +45,7 @@ rank1 = wrap(np.sqrt(d) * np.outer(np.eye(d)[0], v))  # ||.||_F^2 = d, all in on
 
 print("two encoders with identical Frobenius mass:")
 for name, net in [("isotropic", iso), ("rank-1", rank1)]:
-    fro = jac_frobenius_fd(net, x_eval, d, 0.01)
+    fro = jac_frobenius_fd(net, x_eval, 0.01)
     res, _ = tdi(net, x_eval, 0.1, 32, RngState(2))
     a = anisotropy_index(net, x_eval, v)
     print(
@@ -82,7 +82,7 @@ report = diagnose(
 print(f"  tdi@0 (probe sigma {report.tdi_at_0['sigma_probe']}): {report.tdi_at_0['value']:.6f}")
 for s, (val, se) in sorted(report.tdi.items()):
     print(f"  tdi@{s:g}: {val:.6f} +- {se:.6f}")
-print(f"  jac_fro^2 (unbiased): {report.jac_fro['unbiased']:.4f}")
+print(f"  jac_fro^2 (full sum): {report.jac_fro['unbiased']:.4f}")
 print(f"  sensitivity along the nuisance direction: {report.directional['nuisance'][0]:.4f}")
 print(f"  decoder Lipschitz: {report.lipschitz['value']:.4f}")
 print(f"  (exact spectral norm, per encoder layer: "

@@ -30,7 +30,6 @@ from .diagnostics import (
     linearization_remainder,
     lipschitz_track,
     nuisance_subspace,
-    probe_retention,
     tdi,
 )
 from .errors import (
@@ -39,7 +38,6 @@ from .errors import (
     IsogeoError,
     ShapeError,
     TrainingDivergedError,
-    UndefinedRetentionError,
     UndertrainedModelError,
     ValidationError,
 )
@@ -49,7 +47,6 @@ from .network import (
     MlpEncoderDecoder,
     NetSpec,
     backward,
-    encoder_jacobian,
     forward_with_trace,
     init_network,
     input_gradient,

@@ -8,16 +8,15 @@ Two data sources live here:
       y = <w_s, s> + rho * <w_n, n> + eps,   eps ~ N(0, sigma_eps^2),
 
   s ~ N(0, I), n ~ N(0, I) independent and ||w_s|| = ||w_n|| = 1.  ``rho`` is
-  the nuisance *regression coefficient* (it equals the nuisance-label
-  correlation only when labels are normalized to unit variance, which the
-  ``normalize_labels`` flag arranges).  The conditional-mean predictor and
+  the nuisance *regression coefficient*: labels are not rescaled, so it is
+  not the nuisance-label correlation.  The conditional-mean predictor and
   the signal-only predictor are available in closed form, which makes loss
   gaps exactly computable: suppressing the nuisance costs exactly rho^2 in
   mean squared error.
 
 * :class:`DiscreteNuisanceToy` — a finite (s, n, y) joint distribution on
-  which mutual informations, conditional entropies, and loss gaps are exact
-  enumeration sums rather than Monte-Carlo estimates.
+  which the blindness gap I(n; y | s) is an exact enumeration sum rather
+  than a Monte-Carlo estimate.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._atomic import atomic_write
 from .errors import ShapeError, ValidationError
 from .linalg import as_matrix, as_vector
 from .rng import RngState, normal, uniform
@@ -51,7 +49,6 @@ class GaussianNuisanceModel:
     w_n: np.ndarray
     rho: float
     sigma_eps: float
-    normalize_labels: bool = False
 
     def __post_init__(self):
         if self.d_s < 1 or self.d_n < 1:
@@ -67,12 +64,7 @@ class GaussianNuisanceModel:
 
     @classmethod
     def canonical(
-        cls,
-        d_s: int,
-        d_n: int,
-        rho: float,
-        sigma_eps: float,
-        normalize_labels: bool = False,
+        cls, d_s: int, d_n: int, rho: float, sigma_eps: float
     ) -> "GaussianNuisanceModel":
         """Model with deterministic weight directions (first basis vector of
         each block), which keeps the analytic checks exact."""
@@ -80,42 +72,19 @@ class GaussianNuisanceModel:
         w_s[0] = 1.0
         w_n = np.zeros(d_n)
         w_n[0] = 1.0
-        return cls(d_s, d_n, w_s, w_n, rho, sigma_eps, normalize_labels)
-
-    @classmethod
-    def random_directions(
-        cls,
-        d_s: int,
-        d_n: int,
-        rho: float,
-        sigma_eps: float,
-        rng: RngState,
-        normalize_labels: bool = False,
-    ) -> tuple["GaussianNuisanceModel", RngState]:
-        ws, rng = normal(rng, d_s)
-        wn, rng = normal(rng, d_n)
-        ws /= np.linalg.norm(ws)
-        wn /= np.linalg.norm(wn)
-        return cls(d_s, d_n, ws, wn, rho, sigma_eps, normalize_labels), rng
+        return cls(d_s, d_n, w_s, w_n, rho, sigma_eps)
 
     @property
     def d_in(self) -> int:
         return self.d_s + self.d_n
 
-    @property
-    def label_scale(self) -> float:
-        """Divisor applied to labels; 1 unless normalize_labels is set."""
-        if self.normalize_labels:
-            return float(np.sqrt(1.0 + self.rho**2 + self.sigma_eps**2))
-        return 1.0
-
     def bayes_mse(self) -> float:
-        """MSE of the conditional-mean predictor: sigma_eps^2 (rescaled)."""
-        return self.sigma_eps**2 / self.label_scale**2
+        """MSE of the conditional-mean predictor: sigma_eps^2."""
+        return self.sigma_eps**2
 
     def signal_only_mse(self) -> float:
         """MSE of the best nuisance-blind predictor: rho^2 + sigma_eps^2."""
-        return (self.rho**2 + self.sigma_eps**2) / self.label_scale**2
+        return self.rho**2 + self.sigma_eps**2
 
 
 @dataclass(frozen=True)
@@ -160,7 +129,6 @@ def sample(model: GaussianNuisanceModel, n: int, rng: RngState) -> tuple[Labeled
     nn, rng = normal(rng, (n, model.d_n))
     eps, rng = normal(rng, n, model.sigma_eps)
     y = s @ model.w_s + model.rho * (nn @ model.w_n) + eps
-    y = y / model.label_scale
     return LabeledBatch(np.hstack([s, nn]), y, model.d_s, model.d_n), rng
 
 
@@ -175,13 +143,13 @@ def bayes_predictor(model: GaussianNuisanceModel, x) -> np.ndarray:
     """Conditional mean E[y | x] = <w_s, s> + rho <w_n, n> (exact, linear)."""
     x = _check_layout(model, x)
     s, nn = x[:, : model.d_s], x[:, model.d_s :]
-    return (s @ model.w_s + model.rho * (nn @ model.w_n)) / model.label_scale
+    return s @ model.w_s + model.rho * (nn @ model.w_n)
 
 
 def signal_only_predictor(model: GaussianNuisanceModel, x) -> np.ndarray:
     """Best nuisance-blind predictor E[y | s] = <w_s, s>."""
     x = _check_layout(model, x)
-    return (x[:, : model.d_s] @ model.w_s) / model.label_scale
+    return x[:, : model.d_s] @ model.w_s
 
 
 def threshold_labels(y: np.ndarray) -> np.ndarray:
@@ -199,22 +167,6 @@ def model_batch_source(model: GaussianNuisanceModel):
     return source
 
 
-def export_csv(batch: LabeledBatch, path: str) -> None:
-    """Write a batch as CSV with header s_0..s_{ds-1}, n_0..n_{dn-1}, y.
-
-    Values use 17 significant digits so float64 round-trips losslessly.
-    The write is atomic (temp file + rename).
-    """
-    header = (
-        [f"s_{i}" for i in range(batch.d_s)]
-        + [f"n_{i}" for i in range(batch.d_n)]
-        + ["y"]
-    )
-    rows = np.hstack([batch.x, batch.y[:, None]])
-    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
-    atomic_write(path, "\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Discrete toy distribution
 # ---------------------------------------------------------------------------
@@ -225,8 +177,8 @@ class DiscreteNuisanceToy:
     """Finite (s, n, y) joint distribution with exact enumeration queries.
 
     ``p_y_given_x[s, n, :]`` are conditional rows (each summing to 1) and
-    ``p_x[s, n]`` is the input marginal.  All information quantities are in
-    nats and computed by exact sums over the table.
+    ``p_x[s, n]`` is the input marginal.  The blindness gap is in nats and
+    computed by an exact sum over the table.
     """
 
     p_y_given_x: np.ndarray
@@ -298,40 +250,6 @@ class DiscreteNuisanceToy:
                         )
                     total += w * p * np.log(p / q)
         return float(total)
-
-    def mutual_information_ny(self) -> float:
-        """I(n; y), marginal nuisance-label dependence."""
-        joint = self.joint()
-        p_ny = joint.sum(axis=0)
-        p_n = p_ny.sum(axis=1)
-        p_y = p_ny.sum(axis=0)
-        total = 0.0
-        for ni in range(p_ny.shape[0]):
-            for yi in range(p_ny.shape[1]):
-                p = p_ny[ni, yi]
-                if p > 0:
-                    total += p * np.log(p / (p_n[ni] * p_y[yi]))
-        return float(max(total, 0.0))
-
-    def conditional_mi_ny_given_s(self) -> float:
-        """I(n; y | s); same quantity as kl_gap(), via the chain-rule sum."""
-        return self.kl_gap()
-
-    def entropy_y_given_s(self) -> float:
-        """H(y | s) in nats."""
-        p_ys = self.p_y_given_s()
-        p_s = self.p_x.sum(axis=1)
-        total = 0.0
-        for si in range(p_ys.shape[0]):
-            for yi in range(p_ys.shape[1]):
-                p = p_ys[si, yi]
-                if p > 0:
-                    total -= p_s[si] * p * np.log(p)
-        return float(total)
-
-    def satisfies_nuisance_condition(self, tol: float = 1e-12) -> bool:
-        """True when n predicts y marginally but not given s."""
-        return self.mutual_information_ny() > tol and self.conditional_mi_ny_given_s() <= tol
 
     def encode_input(self, s_idx: np.ndarray, n_idx: np.ndarray) -> np.ndarray:
         """Map level indices to real 2-D inputs in [-1, 1]^2."""

@@ -24,11 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._atomic import atomic_write
-from .errors import (
-    DegenerateDirectionError,
-    UndefinedRetentionError,
-    ValidationError,
-)
+from .errors import DegenerateDirectionError, ValidationError
 from .linalg import as_matrix, as_vector, gram_schmidt_project_out
 from .network import (
     MlpEncoderDecoder,
@@ -36,9 +32,10 @@ from .network import (
     encoder_forward,
     input_gradient,
 )
-from .rng import RngState, choice_without_replacement, derive, normal
+from .rng import RngState, choice_without_replacement, normal
 
 TDI_ZERO_PROBE = 0.01  # probe scale standing in for the sigma -> 0 limit
+FD_STEP = 0.01  # coordinate step of the finite-difference Frobenius estimate
 DEGENERATE_LAYER_TOL = 1e-12
 
 
@@ -63,7 +60,6 @@ class TdiResult:
     se: float
     sigma_probe: float
     sigma_requested: float
-    per_layer: tuple
     mc_draws: int
 
     @property
@@ -98,9 +94,7 @@ def tdi(
         raise DegenerateDirectionError(
             f"layer {bad + 1} has vanishing representation magnitude; TDI undefined"
         )
-    L = len(trace_c)
     per_draw = np.zeros(mc_draws)
-    layer_sums = np.zeros(L)
     for j in range(mc_draws):
         delta, rng = normal(rng, x.shape, sigma_probe)
         trace_n = encoder_forward(net, x + delta)
@@ -108,7 +102,6 @@ def tdi(
             float(np.mean(np.sum((zn - zc) ** 2, axis=1))) / d
             for zn, zc, d in zip(trace_n, trace_c, denoms)
         ]
-        layer_sums += ratios
         per_draw[j] = float(np.mean(ratios))
     est = _mean_se(per_draw)
     return (
@@ -117,7 +110,6 @@ def tdi(
             se=est.se,
             sigma_probe=sigma_probe,
             sigma_requested=float(sigma),
-            per_layer=tuple(layer_sums / mc_draws),
             mc_draws=mc_draws,
         ),
         rng,
@@ -149,21 +141,13 @@ def embedding_drift(
     return _mean_se(per_draw), rng
 
 
-class RemainderResult(NamedTuple):
-    """Paired estimate of drift minus its linearization."""
-
-    remainder: Estimate
-    drift: float
-    linear_term: float
-
-
 def linearization_remainder(
     net: MlpEncoderDecoder,
     x,
     sigma: float,
     mc_draws: int,
     rng: RngState,
-) -> tuple[RemainderResult, RngState]:
+) -> tuple[Estimate, RngState]:
     """Estimate D(phi, sigma) - sigma^2 E||J_phi||_F^2 by paired sampling.
 
     Each noise draw contributes ||phi(x+d)-phi(x)||^2 - ||J_phi(x) d||^2 with
@@ -177,68 +161,43 @@ def linearization_remainder(
     x = as_matrix(np.atleast_2d(x), "x")
     rep_c = encoder_forward(net, x)[-1]
     jac = batch_encoder_jacobians(net, x)  # (n, rep, d)
-    fro2 = float(np.mean(np.sum(jac**2, axis=(1, 2))))
     diffs = np.zeros(mc_draws)
-    drift_draws = np.zeros(mc_draws)
     for j in range(mc_draws):
         delta, rng = normal(rng, x.shape, sigma)
         lin = np.sum(np.einsum("nrd,nd->nr", jac, delta) ** 2, axis=1)
         disp_p = np.sum((encoder_forward(net, x + delta)[-1] - rep_c) ** 2, axis=1)
         disp_m = np.sum((encoder_forward(net, x - delta)[-1] - rep_c) ** 2, axis=1)
         diffs[j] = float(np.mean(0.5 * (disp_p + disp_m) - lin))
-        drift_draws[j] = float(np.mean(0.5 * (disp_p + disp_m)))
-    est = _mean_se(diffs)
-    return RemainderResult(est, float(drift_draws.mean()), sigma**2 * fro2), rng
+    return _mean_se(diffs), rng
 
 
 class FdFrobeniusResult(NamedTuple):
-    """Finite-difference Frobenius estimates: coordinate-mean and unbiased."""
+    """Finite-difference Frobenius estimates: coordinate-mean and full sum."""
 
-    literal: Estimate  # (1/K) sum_k ||phi(x+h e_k)-phi(x)||^2 / h^2
-    unbiased: Estimate  # scaled by d_in/K; unbiased for ||J||_F^2
-    coords: tuple
+    literal: Estimate  # (1/d_in) sum_k ||phi(x+h e_k)-phi(x)||^2 / h^2
+    unbiased: Estimate  # sum_k ||phi(x+h e_k)-phi(x)||^2 / h^2, for ||J||_F^2
 
 
-def jac_frobenius_fd(
-    net: MlpEncoderDecoder,
-    x,
-    k_probes: int,
-    h: float,
-    rng: RngState | None = None,
-) -> FdFrobeniusResult:
-    """Squared Jacobian Frobenius norm from coordinate finite differences.
+def jac_frobenius_fd(net: MlpEncoderDecoder, x, h: float) -> FdFrobeniusResult:
+    """Squared Jacobian Frobenius norm from forward differences along every
+    input coordinate.
 
-    Probes k_probes input coordinates sampled without replacement (a fixed
-    internal stream is used when no rng is given, so the default is still
-    deterministic).  The coordinate-mean estimator underestimates the full
-    norm by a factor k/d_in; the unbiased variant rescales by d_in/k and is
-    the one reports should use.  Standard errors are across batch rows,
-    conditional on the sampled coordinate set.
+    The coordinate-mean estimator is the full sum divided by d_in; the full
+    sum estimates ||J||_F^2 and is the one reports should use.  Standard
+    errors are across batch rows.
     """
     if h <= 0:
         raise ValidationError("h must be > 0")
     x = as_matrix(np.atleast_2d(x), "x")
     d = x.shape[1]
-    if not (1 <= k_probes <= d):
-        raise ValidationError(f"k_probes must be in [1, {d}], got {k_probes}")
-    if k_probes == d:
-        coords = np.arange(d)
-    else:
-        stream = rng if rng is not None else derive(0, "fd-frobenius-default")
-        coords, _ = choice_without_replacement(stream, d, k_probes)
-        coords = np.sort(coords)
     rep_c = encoder_forward(net, x)[-1]
     per_row = np.zeros(x.shape[0])
-    for c in coords:
+    for c in range(d):
         xp = x.copy()
         xp[:, c] += h
         rep_p = encoder_forward(net, xp)[-1]
         per_row += np.sum((rep_p - rep_c) ** 2, axis=1) / h**2
-    literal_rows = per_row / k_probes
-    unbiased_rows = per_row * (d / k_probes)
-    return FdFrobeniusResult(
-        _mean_se(literal_rows), _mean_se(unbiased_rows), tuple(int(c) for c in coords)
-    )
+    return FdFrobeniusResult(_mean_se(per_row / d), _mean_se(per_row))
 
 
 def directional_sensitivity(net: MlpEncoderDecoder, x, w, h: float = 1e-5) -> np.ndarray:
@@ -369,65 +328,6 @@ def nuisance_subspace(
     return top, sens
 
 
-class ProbeRetention(NamedTuple):
-    acc_clean: float
-    acc_noisy: float
-    retention: float
-
-
-def _fit_ridge_probe(reps: np.ndarray, labels: np.ndarray, ridge: float) -> np.ndarray:
-    k = int(labels.max()) + 1
-    onehot = np.zeros((labels.shape[0], k))
-    onehot[np.arange(labels.shape[0]), labels] = 1.0
-    a = np.hstack([reps, np.ones((reps.shape[0], 1))])
-    gram = a.T @ a + ridge * np.eye(a.shape[1])
-    return np.linalg.solve(gram, a.T @ onehot)
-
-
-def _probe_accuracy(weights: np.ndarray, reps: np.ndarray, labels: np.ndarray) -> float:
-    a = np.hstack([reps, np.ones((reps.shape[0], 1))])
-    pred = np.argmax(a @ weights, axis=1)
-    return float(np.mean(pred == labels))
-
-
-def probe_retention(
-    net: MlpEncoderDecoder,
-    x_train,
-    labels_train,
-    x_eval,
-    labels_eval,
-    layer: int,
-    sigma: float,
-    rng: RngState,
-    ridge: float = 1e-3,
-) -> tuple[ProbeRetention, RngState]:
-    """Linear-probe retention at one encoder layer.
-
-    Fits a ridge-regularized linear classifier (one-hot targets, argmax
-    decoding) on frozen *clean* layer representations of the training split,
-    then compares eval accuracy on clean inputs against inputs perturbed by
-    N(0, sigma^2 I).  Retention = noisy accuracy / clean accuracy; sigma = 0
-    reuses the clean representations so retention is exactly 1.
-    """
-    if not (1 <= layer <= net.n_layers):
-        raise ValidationError(f"layer must be in [1, {net.n_layers}], got {layer}")
-    labels_train = np.asarray(labels_train, dtype=np.int64)
-    labels_eval = np.asarray(labels_eval, dtype=np.int64)
-    reps_train = encoder_forward(net, x_train)[layer - 1]
-    weights = _fit_ridge_probe(reps_train, labels_train, ridge)
-    x_eval = as_matrix(np.atleast_2d(x_eval), "x_eval")
-    reps_eval = encoder_forward(net, x_eval)[layer - 1]
-    acc_clean = _probe_accuracy(weights, reps_eval, labels_eval)
-    if acc_clean == 0.0:
-        raise UndefinedRetentionError("clean probe accuracy is zero; retention undefined")
-    if sigma == 0.0:
-        return ProbeRetention(acc_clean, acc_clean, 1.0), rng
-    delta, rng = normal(rng, x_eval.shape, sigma)
-    reps_noisy = encoder_forward(net, x_eval + delta)[layer - 1]
-    acc_noisy = _probe_accuracy(weights, reps_noisy, labels_eval)
-    return ProbeRetention(acc_clean, acc_noisy, acc_noisy / acc_clean), rng
-
-
 # ---------------------------------------------------------------------------
 # Report container
 # ---------------------------------------------------------------------------
@@ -516,8 +416,6 @@ def diagnose(
     rng: RngState,
     mc_draws: int = 64,
     run_id: str = "run",
-    fd_probes: int | None = None,
-    fd_h: float = 0.01,
     probe_directions: dict | None = None,
 ) -> DiagnosticsReport:
     """Assemble a full diagnostics report for one model snapshot."""
@@ -532,15 +430,14 @@ def diagnose(
         report.tdi[float(s)] = (res.value, res.se)
         dr, rng = embedding_drift(net, x_eval, float(s), mc_draws, rng)
         report.drift[float(s)] = (dr.value, dr.se)
-    k = x_eval.shape[1] if fd_probes is None else fd_probes
-    fro = jac_frobenius_fd(net, x_eval, k, fd_h, rng=derive(rng, "fd"))
+    fro = jac_frobenius_fd(net, x_eval, FD_STEP)
     report.jac_fro = {
         "unbiased": fro.unbiased.value,
         "se_unbiased": fro.unbiased.se,
         "literal": fro.literal.value,
         "se_literal": fro.literal.se,
-        "k_probes": k,
-        "h": fd_h,
+        "k_probes": x_eval.shape[1],
+        "h": FD_STEP,
     }
     if probe_directions:
         for name, w in probe_directions.items():

@@ -35,9 +35,5 @@ class UndertrainedModelError(IsogeoError):
         self.measured_loss = measured_loss
 
 
-class UndefinedRetentionError(IsogeoError):
-    """Probe retention is undefined because clean accuracy is zero."""
-
-
 class ConfigError(IsogeoError):
     """An experiment configuration file is malformed or inconsistent."""

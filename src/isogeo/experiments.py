@@ -18,6 +18,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -25,11 +26,11 @@ import numpy as np
 
 from . import data as dt
 from ._atomic import atomic_write
-from .diagnostics import jac_frobenius_fd, lipschitz_track, tdi
+from .diagnostics import FD_STEP, jac_frobenius_fd, lipschitz_track, tdi
 from .errors import ConfigError, TrainingDivergedError, ValidationError
 from .network import NetSpec, forward_with_trace
 from .objectives import OBJECTIVES, PgdConfig, TrainConfig, WarmupSchedule, train, train_stack
-from .rng import derive
+from .rng import RngState, derive
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +49,7 @@ class ExperimentConfig:
     rho: float = 0.5
     sigma_eps: float = 0.1
     # architecture
-    hidden: tuple = (32,)
+    hidden: tuple[int, ...] = (32,)
     rep_dim: int = 16
     # training
     steps: int = 20000
@@ -56,16 +57,16 @@ class ExperimentConfig:
     batch_size: int = 32
     loss: str = "cross-entropy"
     sigma_train: float = 0.1
-    sigma_train_grid: tuple = (0.05, 0.1, 0.2, 0.4)
+    sigma_train_grid: tuple[float, ...] = (0.05, 0.1, 0.2, 0.4)
     cap: float = 0.3
-    cap_grid: tuple = (0.10, 0.15, 0.25, 0.30, 0.40, 0.60)
+    cap_grid: tuple[float, ...] = (0.10, 0.15, 0.25, 0.30, 0.40, 0.60)
     lam: float = 100.0
     pgd_epsilon: float = 0.3
     pgd_steps: int = 20
-    methods: tuple = ("erm", "pgd", "pmh")
-    sigma_range: tuple = (0.05, 0.2)  # multi-scale training range
+    methods: tuple[str, ...] = ("erm", "pgd", "pmh")
+    sigma_range: tuple[float, ...] = (0.05, 0.2)  # multi-scale training range
     # evaluation
-    sigma_eval: tuple = (0.05, 0.1, 0.2, 0.4)
+    sigma_eval: tuple[float, ...] = (0.05, 0.1, 0.2, 0.4)
     eval_rows: int = 512
     mc_draws: int = 32
     seeds_per_cell: int = 5
@@ -88,6 +89,7 @@ class ExperimentConfig:
         if len(self.sigma_range) != 2:
             raise ConfigError(f"sigma_range must be (lo, hi), got {self.sigma_range}")
         try:
+            RngState(self.seed)  # a seed outside [0, 2**64) names no stream
             self.model()  # the data model checks d_s, d_n, rho and sigma_eps
             base = self.train_config("pmh", self.seed)  # lr, lam, cap, sigma_train, pgd
         except ValidationError as exc:
@@ -142,14 +144,7 @@ class ExperimentConfig:
         )
 
 
-_TUPLE_FIELDS = {
-    "hidden": int,
-    "sigma_train_grid": float,
-    "cap_grid": float,
-    "methods": str,
-    "sigma_eval": float,
-    "sigma_range": float,
-}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)  # what parse_config casts each key to
 _SECTIONS = {"experiment", "data", "train", "eval"}
 
 # Kind-specific defaults, calibrated so each experiment runs in the regime
@@ -217,27 +212,22 @@ def parse_config(path: str) -> ExperimentConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    fields = {f.name: f.type for f in ExperimentConfig.__dataclass_fields__.values()}
     values: dict = {}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]; expected one of {sorted(_SECTIONS)}")
         for key, raw in parser.items(section):
-            if key not in fields:
+            if key not in _FIELD_TYPES:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
             if key in values:
                 raise ConfigError(f"duplicate key {key!r}")
+            cast = _FIELD_TYPES[key]
             try:
-                if key in _TUPLE_FIELDS:
-                    cast = _TUPLE_FIELDS[key]
-                    values[key] = tuple(cast(tok) for tok in raw.split())
-                elif key in ("kind", "outdir", "loss"):
-                    values[key] = raw.strip()
-                elif key in ("seed", "d_s", "d_n", "rep_dim", "steps", "batch_size",
-                             "pgd_steps", "eval_rows", "mc_draws", "seeds_per_cell"):
-                    values[key] = int(raw)
+                if typing.get_origin(cast) is tuple:  # tuple[item, ...]: space-separated
+                    item = typing.get_args(cast)[0]
+                    values[key] = tuple(item(tok) for tok in raw.split())
                 else:
-                    values[key] = float(raw)
+                    values[key] = cast(raw.strip())
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
     if "kind" not in values:
@@ -306,30 +296,23 @@ class ResultTable:
 CSV_HEADER = "experiment,row_key,col_key,value,se,seed"
 
 
-def emit(table: ResultTable, outdir: str, formats: tuple = ("csv", "json")) -> list[str]:
-    """Write the table as CSV and/or JSON; returns the written paths.
+def emit(table: ResultTable, outdir: str) -> list[str]:
+    """Write the table as CSV and as JSON; returns the two written paths.
 
     CSV rows follow the schema ``experiment,row_key,col_key,value,se,seed``;
     JSON mirrors the table structure.  Writes are atomic.
     """
     os.makedirs(os.path.abspath(outdir), exist_ok=True)
-    written = []
     base = os.path.join(outdir, table.experiment)
-    if "csv" in formats:
-        lines = [CSV_HEADER]
-        for r in table.row_keys:
-            for c in table.col_keys:
-                if (r, c) in table.cells:
-                    v, se = table.cells[(r, c)]
-                    lines.append(f"{table.experiment},{r},{c},{v:.17g},{se:.17g},{table.seed}")
-        path = base + ".csv"
-        atomic_write(path, "\n".join(lines) + "\n")
-        written.append(path)
-    if "json" in formats:
-        path = base + ".json"
-        atomic_write(path, json.dumps(table.to_json_dict(), indent=2, sort_keys=True) + "\n")
-        written.append(path)
-    return written
+    lines = [CSV_HEADER]
+    for r in table.row_keys:
+        for c in table.col_keys:
+            if (r, c) in table.cells:
+                v, se = table.cells[(r, c)]
+                lines.append(f"{table.experiment},{r},{c},{v:.17g},{se:.17g},{table.seed}")
+    atomic_write(base + ".csv", "\n".join(lines) + "\n")
+    atomic_write(base + ".json", json.dumps(table.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    return [base + ".csv", base + ".json"]
 
 
 def parse_table_csv(path: str) -> ResultTable:
@@ -451,7 +434,7 @@ def _compare_cell(config: ExperimentConfig, method: str, seed: int) -> dict:
     for s in config.sigma_eval:
         res, _ = tdi(net, x_eval, float(s), config.mc_draws, derive(seed, "tdi", method, s))
         metrics[f"tdi@{s:g}"] = (res.value, res.se)
-    fro = jac_frobenius_fd(net, x_eval[:256], x_eval.shape[1], 0.01)
+    fro = jac_frobenius_fd(net, x_eval[:256], FD_STEP)
     metrics["jac_fro_sq"] = (fro.unbiased.value, fro.unbiased.se)
     metrics["lipschitz"] = (lipschitz_track(net).value, 0.0)
     b_test, _ = dt.sample(config.model(), 4096, derive(config.seed, "test-batch"))

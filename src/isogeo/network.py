@@ -237,27 +237,20 @@ def _encoder_backward_chain(
     net: MlpEncoderDecoder,
     x: np.ndarray,
     trace: list[np.ndarray],
-    upstream_per_layer: list,
-) -> tuple[list, np.ndarray]:
-    """Reverse pass through the encoder with gradient injection at each layer.
-
-    upstream_per_layer[l] is dLoss/d(trace[l]) or None.  Returns encoder
-    (dW, db) pairs and dLoss/dx.
-    """
-    grads = [None] * len(net.encoder)
-    dh = None
-    for li in range(len(net.encoder) - 1, -1, -1):
+    d_rep: np.ndarray,
+) -> list:
+    """Reverse pass through the encoder from d_rep = dLoss/d(trace[-1]);
+    returns the encoder (dW, db) pairs, first layer first."""
+    grads = []
+    dh = d_rep
+    for li in reversed(range(net.n_layers)):
         layer = net.encoder[li]
-        up = upstream_per_layer[li]
-        if dh is None:
-            dh = np.zeros_like(trace[li])
-        if up is not None:
-            dh = dh + up
         da = dh * _act_deriv_from_output(trace[li], layer.activation)
         prev = trace[li - 1] if li > 0 else x
-        grads[li] = (da.swapaxes(-1, -2) @ prev, da.sum(axis=-2))
-        dh = da @ layer.weight
-    return grads, dh
+        grads.append((da.swapaxes(-1, -2) @ prev, da.sum(axis=-2)))
+        if li > 0:
+            dh = da @ layer.weight
+    return grads[::-1]
 
 
 def backward(
@@ -284,25 +277,22 @@ def backward(
     dec_dw = grad_pred.swapaxes(-1, -2) @ trace[-1]
     dec_db = grad_pred.sum(axis=-2)
     d_rep = grad_pred @ net.decoder.weight
-    upstream = [None] * net.n_layers
-    upstream[-1] = d_rep
-    enc_grads, _ = _encoder_backward_chain(net, x, trace, upstream)
-    return ParamGrads(enc_grads, (dec_dw, dec_db))
+    return ParamGrads(_encoder_backward_chain(net, x, trace, d_rep), (dec_dw, dec_db))
 
 
 def encoder_backward(
     net: MlpEncoderDecoder,
     x,
     trace: list[np.ndarray],
-    upstream_per_layer: list,
+    d_rep: np.ndarray,
 ) -> ParamGrads:
-    """Encoder-only gradients with per-layer upstream injection (decoder
-    gradients are zero).  Used by representation-matching penalties that
-    read intermediate layers."""
+    """Encoder-only gradients of a loss on the final representation, with
+    d_rep = dLoss/d(trace[-1]); decoder gradients are zero.  Used by the
+    representation-matching penalty."""
     x = _as_input(net, x)
-    enc_grads, _ = _encoder_backward_chain(net, x, trace, upstream_per_layer)
     return ParamGrads(
-        enc_grads, (np.zeros_like(net.decoder.weight), np.zeros_like(net.decoder.bias))
+        _encoder_backward_chain(net, x, trace, d_rep),
+        (np.zeros_like(net.decoder.weight), np.zeros_like(net.decoder.bias)),
     )
 
 
@@ -359,14 +349,6 @@ def input_gradient(net: MlpEncoderDecoder, x, y, loss: str = "mse") -> np.ndarra
             dh = z
         dh = dh @ layer.weight
     return dh if x.ndim > 1 else dh[0]
-
-
-def encoder_jacobian(net: MlpEncoderDecoder, x) -> np.ndarray:
-    """Exact analytic Jacobian of the encoder at a single input row."""
-    x1 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x1.shape[0] != 1:
-        raise ShapeError("encoder_jacobian expects a single input row")
-    return batch_encoder_jacobians(net, x1)[0]
 
 
 def batch_encoder_jacobians(net: MlpEncoderDecoder, x) -> np.ndarray:

@@ -26,7 +26,6 @@ and a member that diverges leaves the stack without touching the others.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,31 +100,25 @@ def task_loss(pred: np.ndarray, y, loss: str) -> tuple[float, np.ndarray]:
 
 @dataclass(frozen=True)
 class WarmupSchedule:
-    """Ramp from 0 at step t0 to 1 at step t0 + duration."""
+    """Linear ramp from 0 at step t0 to 1 at step t0 + duration."""
 
     t0: int = 0
     duration: int = 1
-    shape: str = "linear"  # or "cosine"
 
     def __post_init__(self):
         if self.duration < 1:
             raise ValidationError("warmup duration must be >= 1")
-        if self.shape not in ("linear", "cosine"):
-            raise ValidationError(f"unknown warmup shape {self.shape!r}")
 
 
 def warmup_weight(t: int, schedule: WarmupSchedule) -> float:
-    """w(t) = min(1, (t - t0)/T) for the linear shape; cosine uses the
-    half-cosine ramp with the same endpoints.  0 before t0, 1 after t0 + T,
-    monotone nondecreasing in between."""
+    """w(t) = min(1, max(0, (t - t0)/T)): 0 before t0, 1 after t0 + T,
+    linear in between."""
     frac = (t - schedule.t0) / schedule.duration
     if frac <= 0.0:
         return 0.0
     if frac >= 1.0:
         return 1.0
-    if schedule.shape == "linear":
-        return float(frac)
-    return float(0.5 * (1.0 - math.cos(math.pi * frac)))
+    return float(frac)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +155,8 @@ def pmh_loss(
     diff = trace_c[-1] - trace_n[-1]
     value = _value((diff**2).sum(axis=(-2, -1)) / n)
     up = 2.0 * diff / n
-    ups_clean = [None] * len(trace_c)
-    ups_noisy = [None] * len(trace_c)
-    ups_clean[-1] = up
-    ups_noisy[-1] = -up
-    grads = encoder_backward(net, x, trace_c, ups_clean)
-    grads.add_(encoder_backward(net, x_noisy, trace_n, ups_noisy))
+    grads = encoder_backward(net, x, trace_c, up)
+    grads.add_(encoder_backward(net, x_noisy, trace_n, -up))
     return value, grads, x_noisy, rngs if stacked else rngs[0]
 
 
@@ -254,12 +243,10 @@ def pgd_attack(
 
 @dataclass(frozen=True)
 class PgdConfig:
+    """L-infinity attack of radius epsilon: steps of epsilon / 4."""
+
     epsilon: float = 0.1
     steps: int = 20
-    step_size: float | None = None  # defaults to epsilon / 4
-
-    def resolved_step_size(self) -> float:
-        return self.epsilon / 4.0 if self.step_size is None else self.step_size
 
 
 @dataclass(frozen=True)
@@ -308,9 +295,9 @@ class TrainLog:
     fraction: np.ndarray
     warmup: np.ndarray
 
-    def steady_state_fraction(self, tail: float = 0.2) -> float:
-        """Mean penalty fraction over the final `tail` share of steps."""
-        k = max(1, int(round(tail * len(self.step))))
+    def steady_state_fraction(self) -> float:
+        """Mean penalty fraction over the final 20% of steps."""
+        k = max(1, int(round(0.2 * len(self.step))))
         return float(self.fraction[-k:].mean())
 
     def to_csv(self, path: str) -> None:
@@ -414,7 +401,7 @@ def train_stack(configs, spec: NetSpec, data_source) -> list:
                     y,
                     head.pgd.epsilon,
                     head.pgd.steps,
-                    head.pgd.resolved_step_size(),
+                    head.pgd.epsilon / 4.0,
                     head.loss,
                 )
                 x_adv = x + delta

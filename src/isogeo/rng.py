@@ -86,15 +86,14 @@ def derive(state: "RngState | int", *keys: "str | int | float") -> RngState:
 
     The derived seed is a BLAKE2b hash of the parent (seed, counter) and the
     key sequence, so substreams for distinct keys never collide with the
-    parent stream or with one another.
+    parent stream or with one another.  A bare seed outside [0, 2**64)
+    raises ValidationError.
     """
-    if isinstance(state, RngState):
-        parent = (int(state.seed), int(state.counter))
-    else:
-        parent = (int(state), 0)
+    if not isinstance(state, RngState):
+        state = RngState(state)
     h = hashlib.blake2b(digest_size=8)
-    h.update(parent[0].to_bytes(8, "little"))
-    h.update(parent[1].to_bytes(16, "little"))
+    h.update(int(state.seed).to_bytes(8, "little"))
+    h.update(int(state.counter).to_bytes(16, "little"))
     for k in keys:
         if isinstance(k, float):
             k = f"{k:.17g}"

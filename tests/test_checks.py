@@ -5,7 +5,7 @@ import pytest
 
 from isogeo import checks as ck
 from isogeo.data import GaussianNuisanceModel
-from isogeo.errors import UndertrainedModelError, ValidationError
+from isogeo.errors import ConfigError, UndertrainedModelError, ValidationError
 from isogeo.network import NetSpec, init_network
 from isogeo.rng import RngState
 
@@ -22,6 +22,33 @@ class TestReportMachinery:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValidationError):
             ck.run_checks(["does_not_exist"])
+
+    def test_empty_check_list_rejected(self):
+        with pytest.raises(ConfigError):
+            ck.run_checks([])
+
+
+class TestFalseFailRate:
+    def test_z_star_is_the_bonferroni_normal_quantile(self):
+        assert ck.FALSE_FAIL_ALPHA == 1e-3
+        assert ck.z_star(1) == pytest.approx(3.2905, abs=1e-4)
+        assert ck.z_star(3) == pytest.approx(3.5879, abs=1e-4)
+        assert ck.z_star(200) == pytest.approx(4.5648, abs=1e-4)
+
+    # Each seed failed its check under the former fixed-SE rules (trace: 4
+    # sample SEs per pair; remainder: sigma^4 ratio of point estimates in
+    # [8, 32]; suppression: 3 sample SEs).
+    @pytest.mark.parametrize(
+        "check_id, seed",
+        [
+            ("isotropic_trace_identity", 21),
+            ("linearized_drift_remainder", 59),
+            ("suppression_cost_exact", 130),
+        ],
+    )
+    def test_former_false_fail_seed_passes(self, check_id, seed):
+        (report,) = ck.run_checks([check_id], seed=seed)
+        assert report.passed, report.measured
 
 
 class TestLemmaChecks:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,9 @@ import pytest
 
 from isogeo import experiments as xp
 from isogeo.errors import ConfigError
+
+# The CLI runs in a child process, which imports isogeo from the source tree.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def small_config(**overrides):
@@ -95,6 +99,7 @@ class TestConfigParsing:
             small_config(methods=("erm", "sgd"))
 
     BAD_VALUES = {
+        "seed": -1,
         "rho": -1.0,
         "sigma_eps": -1.0,
         "mc_draws": 0,
@@ -109,6 +114,31 @@ class TestConfigParsing:
     def test_negative_data_parameter_rejected_at_construction(self, field):
         with pytest.raises(ConfigError, match=field):
             small_config(**{field: self.BAD_VALUES[field]})
+
+    def test_seed_beyond_64_bits_rejected_at_construction(self):
+        small_config(seed=2**64 - 1)
+        with pytest.raises(ConfigError, match="seed"):
+            small_config(seed=2**64)
+
+    def test_every_field_roundtrips_through_a_file(self, tmp_path):
+        values = dict(
+            kind="multiscale", seed=2**64 - 1, outdir="elsewhere", d_s=3, d_n=5, rho=0.25,
+            sigma_eps=0.3, hidden=(7, 5), rep_dim=4, steps=11, lr=0.07, batch_size=9,
+            loss="cross-entropy", sigma_train=0.15, sigma_train_grid=(0.1, 0.3), cap=0.2,
+            cap_grid=(0.05, 0.5), lam=3.5, pgd_epsilon=0.125, pgd_steps=3,
+            methods=("pgd", "erm"), sigma_range=(0.1, 0.4), sigma_eval=(0.02, 0.3),
+            eval_rows=17, mc_draws=5, seeds_per_cell=2,
+        )
+        assert set(values) == {f.name for f in dataclasses.fields(xp.ExperimentConfig)}
+        defaults = xp.default_config("multiscale")
+        assert all(getattr(defaults, k) != v for k, v in values.items() if k != "kind")
+        lines = ["[experiment]"] + [
+            f"{k} = {' '.join(map(str, v)) if isinstance(v, tuple) else v}"
+            for k, v in values.items()
+        ]
+        path = tmp_path / "all.ini"
+        path.write_text("\n".join(lines) + "\n")
+        assert xp.parse_config(str(path)) == xp.ExperimentConfig(**values)
 
 
 class TestResultTable:
@@ -339,6 +369,7 @@ class TestCli:
             [sys.executable, "-m", "isogeo.cli", *args],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
         )
 
     def test_verify_subset_exit_zero(self):
@@ -349,6 +380,29 @@ class TestCli:
     def test_verify_unknown_check_exit_two(self):
         res = self._run("verify", "--checks", "nope")
         assert res.returncode == 2
+
+    def test_verify_empty_check_list_exit_two(self):
+        res = self._run("verify", "--checks", ",")
+        assert res.returncode == 2
+        assert "config error: no check selected" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_verify_seed_out_of_range_exit_two(self, seed):
+        res = self._run("verify", "--checks", "subblock_inequality", "--seed", seed)
+        assert res.returncode == 2
+        assert f"config error: seed must be a 64-bit unsigned int, got {seed}" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_config_seed_out_of_range_exit_two(self, tmp_path):
+        cfgf = tmp_path / "c.ini"
+        outdir = tmp_path / "out"
+        cfgf.write_text(f"[experiment]\nkind = compare\noutdir = {outdir}\nseed = -1\n")
+        res = self._run("compare", "--config", str(cfgf))
+        assert res.returncode == 2
+        assert "config error: seed must be a 64-bit unsigned int, got -1" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not outdir.exists()
 
     def test_experiment_config_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -395,7 +449,7 @@ class TestCli:
             [sys.executable, "-m", "isogeo.cli", "compare", "--config", str(cfgf)],
             capture_output=True,
             text=True,
-            env={**os.environ, "ISOGEO_THREADS": threads},
+            env={**os.environ, "PYTHONPATH": SRC, "ISOGEO_THREADS": threads},
         )
         assert res.returncode == 2
         assert (
@@ -477,6 +531,21 @@ class TestCli:
                         "--batch", batch, "--out", str(out))
         assert res.returncode == 2
         assert "config error: --batch must be >= 1" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
+    def test_diagnose_seed_out_of_range_exit_two(self, tmp_path):
+        from isogeo.network import NetSpec, init_network, save_params
+        from isogeo.rng import RngState
+
+        net, _ = init_network(NetSpec(4, (6,), 3), RngState(1))
+        model_path = tmp_path / "net.bin"
+        save_params(net, str(model_path))
+        out = tmp_path / "diag.json"
+        res = self._run("diagnose", "--model", str(model_path), "--sigma-grid", "0.1",
+                        "--seed", "-1", "--out", str(out))
+        assert res.returncode == 2
+        assert "config error: seed must be a 64-bit unsigned int, got -1" in res.stderr
         assert "Traceback" not in res.stderr
         assert not out.exists()
 

@@ -1,7 +1,7 @@
 """Golden outputs: SHA-256 digests of small emitted files.
 
 Each entry writes one file through the package's own writers (experiment
-tables, check reports, training logs, diagnostics, data export) at a reduced
+tables, check reports, training logs, diagnostics) at a reduced
 size and compares its digest with the one recorded here.  A refactor that
 keeps these digests keeps the bytes users see.  The digests belong to the
 numpy/BLAS build they were recorded with: a different BLAS may round a few
@@ -121,13 +121,6 @@ def _diagnose(tmp_path):
     return {"json": out, "csv": out[: -len(".json")] + ".csv"}
 
 
-def _export(tmp_path):
-    batch, _ = dt.sample(ck.default_model(), 20, derive(21, "golden-batch"))
-    out = str(tmp_path / "batch.csv")
-    dt.export_csv(batch, out)
-    return {"csv": out}
-
-
 PRODUCERS = {
     "adversarial_seeds": _adversarial_seeds,
     "capsweep": _capsweep,
@@ -138,7 +131,6 @@ PRODUCERS = {
     "train_log": _train_logs,
     "reports": _reports,
     "diagnose": _diagnose,
-    "export": _export,
 }
 
 DIGESTS = {
@@ -151,7 +143,6 @@ DIGESTS = {
     "compare_pgd:json": "1c663ffb2013f4fa8e03f7188e4158a64f54e42285b3e7e0c9a408fa27341457",
     "diagnose:csv": "4e51cb15053662c720ef156ff5f4eb44a7defa6f06ed79122d4af731c8cf3134",
     "diagnose:json": "972ffca767a045720b60e5d1b55f939193c6d16495d5e91688851746c433322d",
-    "export:csv": "bc2d4f2ad3ada09607c0fc82114aa8ce371977894e7ae3e8fdf5051eaa081ee5",
     "multiscale:csv": "be7fa5729d60bc0e2fe10162bc36871f5ebc6aa1e69a2f224acc22692c4054a8",
     "multiscale:json": "78f43ad73c59c4310ea8bf15fd095a455b8bda65f68ac397ee81007ed0067404",
     "reports:adversarial": "22d10ab0e91151d49482be7c46c76f034e998eec65073808cdc284720eba8d46",

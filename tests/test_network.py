@@ -10,7 +10,6 @@ from isogeo.network import (
     NetSpec,
     backward,
     batch_encoder_jacobians,
-    encoder_jacobian,
     forward_with_trace,
     init_network,
     input_gradient,
@@ -166,7 +165,7 @@ class TestJacobians:
             [Layer(w1, np.zeros(4), "identity"), Layer(w2, np.zeros(2), "identity")],
             Layer(np.ones((1, 2)), np.zeros(1), "identity"),
         )
-        j = encoder_jacobian(net, np.ones(3))
+        j = batch_encoder_jacobians(net, np.ones(3)[None])[0]
         assert np.allclose(j, w2 @ w1, atol=1e-14)
 
     def test_tanh_at_origin_is_weight_matrix(self):
@@ -174,14 +173,14 @@ class TestJacobians:
         net = MlpEncoderDecoder(
             [Layer(w, np.zeros(4), "tanh")], Layer(np.ones((1, 4)), np.zeros(1), "identity")
         )
-        j = encoder_jacobian(net, np.zeros(3))
+        j = batch_encoder_jacobians(net, np.zeros(3)[None])[0]
         assert np.allclose(j, w, atol=1e-14)
 
     def test_matches_finite_differences(self):
         for seed in range(5):
             net = small_net(seed=40 + seed)
             x, _ = normal(RngState(50 + seed), 6)
-            j = encoder_jacobian(net, x)
+            j = batch_encoder_jacobians(net, x[None])[0]
             h = 1e-6
             from isogeo.network import encoder_forward
 
@@ -200,7 +199,7 @@ class TestJacobians:
         # ||J||_F^2 = ||J_s||_F^2 + ||J_n||_F^2 exactly for a column split
         net = small_net(seed=60, input_dim=8)
         x, _ = normal(RngState(61), 8)
-        j = encoder_jacobian(net, x)
+        j = batch_encoder_jacobians(net, x[None])[0]
         total = np.sum(j**2)
         left = np.sum(j[:, :4] ** 2)
         right = np.sum(j[:, 4:] ** 2)
@@ -211,7 +210,7 @@ class TestJacobians:
         x, _ = normal(RngState(63), (4, 6))
         batch = batch_encoder_jacobians(net, x)
         for i in range(4):
-            assert np.allclose(batch[i], encoder_jacobian(net, x[i]), atol=1e-14)
+            assert np.allclose(batch[i], batch_encoder_jacobians(net, x[i][None])[0], atol=1e-14)
 
 
 class TestInputGradient:

@@ -46,24 +46,15 @@ class TestWarmup:
         sched = WarmupSchedule(t0=100, duration=400)
         assert warmup_weight(300, sched) == pytest.approx(0.5)
 
-    def test_cosine_midpoint_and_monotone(self):
-        sched = WarmupSchedule(t0=0, duration=100, shape="cosine")
-        assert warmup_weight(50, sched) == pytest.approx(0.5)
-        vals = [warmup_weight(t, sched) for t in range(-10, 120)]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-50, 2000), st.integers(0, 500), st.integers(1, 500))
     def test_range_property(self, t, t0, duration):
-        for shape in ("linear", "cosine"):
-            w = warmup_weight(t, WarmupSchedule(t0, duration, shape))
-            assert 0.0 <= w <= 1.0
+        w = warmup_weight(t, WarmupSchedule(t0, duration))
+        assert 0.0 <= w <= 1.0
 
     def test_bad_schedule(self):
         with pytest.raises(ValidationError):
             WarmupSchedule(0, 0)
-        with pytest.raises(ValidationError):
-            WarmupSchedule(0, 10, "step")
 
 
 class TestPmhLoss:
