@@ -15,6 +15,7 @@ from .data import (
     bayes_predictor,
     discrete_nuisance_toy,
     sample,
+    sample_stack,
     signal_only_predictor,
     threshold_labels,
 )
@@ -69,6 +70,6 @@ from .objectives import (
     train_stack,
     warmup_weight,
 )
-from .rng import RngState, derive, gaussian_matrix, normal, uniform
+from .rng import RngState, derive, gaussian_matrix, normal, normal_stack, uniform
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 at least one verification check failed,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -61,8 +62,8 @@ def _cmd_experiment(args) -> int:
 def _cmd_diagnose(args) -> int:
     net = load_params(args.model)
     grid = sorted(set(args.sigma_grid))
-    if any(s <= 0 for s in grid):
-        raise ConfigError("sigma grid values must be > 0")
+    if not all(0.0 < s < math.inf for s in grid):
+        raise ConfigError(f"--sigma-grid values must be finite and > 0, got {grid}")
     if args.batch < 1:
         raise ConfigError(f"--batch must be >= 1, got {args.batch}")
     x_eval, _ = normal(derive(args.seed, "diagnose-batch"), (args.batch, net.input_dim))

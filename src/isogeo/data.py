@@ -21,13 +21,14 @@ Two data sources live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .linalg import as_matrix, as_vector
-from .rng import RngState, normal, uniform
+from .rng import RngState, normal_stack, uniform
 
 UNIT_TOL = 1e-12
 
@@ -53,10 +54,12 @@ class GaussianNuisanceModel:
     def __post_init__(self):
         if self.d_s < 1 or self.d_n < 1:
             raise ValidationError("d_s and d_n must be >= 1")
-        if self.rho < 0:
-            raise ValidationError(f"rho must be >= 0, got {self.rho}")
-        if self.sigma_eps < 0:
-            raise ValidationError(f"sigma_eps must be >= 0, got {self.sigma_eps}")
+        for name in ("rho", "sigma_eps"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
+            if value < 0:
+                raise ValidationError(f"{name} must be >= 0, got {value}")
         object.__setattr__(self, "w_s", _unit(self.w_s, "w_s"))
         object.__setattr__(self, "w_n", _unit(self.w_n, "w_n"))
         if self.w_s.shape != (self.d_s,) or self.w_n.shape != (self.d_n,):
@@ -121,15 +124,27 @@ class LabeledBatch:
         return self.x[:, self.d_s :]
 
 
-def sample(model: GaussianNuisanceModel, n: int, rng: RngState) -> tuple[LabeledBatch, RngState]:
-    """Draw n rows; s, n, eps independent, y from the model equation."""
+def sample_stack(
+    model: GaussianNuisanceModel, n: int, states
+) -> tuple[np.ndarray, np.ndarray, list[RngState]]:
+    """n rows for each of K streams: x (K, n, d_s + d_n), y (K, n) and the
+    successor states.  Member k's rows are ``sample(model, n, states[k])``,
+    bit for bit: its s, n and eps blocks are three draws from its own
+    stream, made for all members at once."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    s, rng = normal(rng, (n, model.d_s))
-    nn, rng = normal(rng, (n, model.d_n))
-    eps, rng = normal(rng, n, model.sigma_eps)
+    k = len(states)
+    s, states = normal_stack(states, (n, model.d_s), (1.0,) * k)
+    nn, states = normal_stack(states, (n, model.d_n), (1.0,) * k)
+    eps, states = normal_stack(states, n, (model.sigma_eps,) * k)
     y = s @ model.w_s + model.rho * (nn @ model.w_n) + eps
-    return LabeledBatch(np.hstack([s, nn]), y, model.d_s, model.d_n), rng
+    return np.concatenate([s, nn], axis=-1), y, states
+
+
+def sample(model: GaussianNuisanceModel, n: int, rng: RngState) -> tuple[LabeledBatch, RngState]:
+    """Draw n rows; s, n, eps independent, y from the model equation."""
+    x, y, (rng,) = sample_stack(model, n, (rng,))
+    return LabeledBatch(x[0], y[0], model.d_s, model.d_n), rng
 
 
 def _check_layout(model: GaussianNuisanceModel, x: np.ndarray) -> np.ndarray:
@@ -158,11 +173,11 @@ def threshold_labels(y: np.ndarray) -> np.ndarray:
 
 
 def model_batch_source(model: GaussianNuisanceModel):
-    """Adapter giving the training loop a (rng, n) -> (x, y, rng) sampler."""
+    """Batch source of the training loop: (states, n) -> (x (K, n, d),
+    y (K, n), states), member k drawn from states[k] (see sample_stack)."""
 
-    def source(rng: RngState, n: int):
-        batch, rng = sample(model, n, rng)
-        return batch.x, batch.y, rng
+    def source(states, n: int):
+        return sample_stack(model, n, states)
 
     return source
 
@@ -264,23 +279,32 @@ class DiscreteNuisanceToy:
         x = self.encode_input(si.ravel(), ni.ravel())
         return x, self.p_x.ravel().copy()
 
-    def sample(self, n: int, rng: RngState) -> tuple[np.ndarray, np.ndarray, RngState]:
-        """Draw (x, y) pairs: x encoded real inputs, y integer labels."""
+    def sample_stack(self, n: int, states) -> tuple[np.ndarray, np.ndarray, list[RngState]]:
+        """n (x, y) pairs for each of K streams: x (K, n, 2) encoded real
+        inputs, y (K, n) integer labels, and the successor states."""
         if n < 1:
             raise ValidationError(f"n must be >= 1, got {n}")
         S, N, Y = self.shape
         flat_joint = self.joint().ravel()
-        u, rng = uniform(rng, n)
+        draws = [uniform(state, n) for state in states]
+        u = np.array([d for d, _ in draws])
         idx = np.searchsorted(np.cumsum(flat_joint), u, side="right")
         idx = np.minimum(idx, flat_joint.size - 1)
         si, rem = np.divmod(idx, N * Y)
         ni, yi = np.divmod(rem, Y)
-        return self.encode_input(si, ni), yi.astype(np.int64), rng
+        return self.encode_input(si, ni), yi.astype(np.int64), [s for _, s in draws]
+
+    def sample(self, n: int, rng: RngState) -> tuple[np.ndarray, np.ndarray, RngState]:
+        """Draw (x, y) pairs: x encoded real inputs, y integer labels."""
+        x, y, (rng,) = self.sample_stack(n, (rng,))
+        return x[0], y[0], rng
 
     def batch_source(self):
-        def source(rng: RngState, n: int):
-            x, y, rng = self.sample(n, rng)
-            return x, y, rng
+        """Batch source of the training loop: (states, n) -> (x (K, n, 2),
+        y (K, n), states)."""
+
+        def source(states, n: int):
+            return self.sample_stack(n, states)
 
         return source
 

@@ -18,10 +18,12 @@ to cap / (1 + cap).
 Nets of one shape can train as one stack (:func:`train_stack`): the network
 kernels, the losses, the PMH penalty and the PGD attack all take a leading
 model axis K, while each member keeps its own init, data, noise and sigma
-streams and its own cap rescaling.  No reduction crosses the model axis, so
-every member ends with the weights and the log of its solo run, bit for bit,
-and a member that diverges leaves the stack without touching the others.
-:func:`train` is the stack of one.
+streams and its own cap rescaling.  Each step draws the whole stack's batch
+in one data-source call and its PMH noise in one ``rng.normal_stack`` call;
+each member's rows still come from its own streams.  No reduction crosses
+the model axis, so every member ends with the weights and the log of its
+solo run, bit for bit, and a member that diverges leaves the stack without
+touching the others.  :func:`train` is the stack of one.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .network import (
     softmax,
     stack_networks,
 )
-from .rng import RngState, derive, normal, uniform
+from .rng import RngState, derive, normal_stack, uniform
 
 OBJECTIVES = ("erm", "pgd", "pmh")
 
@@ -139,17 +141,14 @@ def pmh_loss(
     and the noisy branch.  Returns (value, grads, x_noisy, rng) so the caller
     can reuse the perturbed batch for the noisy task view.  For a stack, x is
     (K, n, d), sigma and rng hold one entry per member, each member's noise
-    comes from its own stream, and value and rng come back per member.
+    comes from its own stream (one normal_stack call draws them all), and
+    value and rng come back per member.
     """
     stacked = bool(net.models)
     sigmas, rngs = (sigma, rng) if stacked else ((sigma,), (rng,))
-    if min(sigmas) < 0:
-        raise ValidationError(f"sigma must be >= 0, got {min(sigmas)}")
     n = x.shape[-2]
-    draws = [normal(r, x.shape[-2:], s) for r, s in zip(rngs, sigmas)]
-    rngs = [r for _, r in draws]
-    delta = np.array([d for d, _ in draws]) if stacked else draws[0][0]
-    x_noisy = x + delta
+    delta, rngs = normal_stack(rngs, x.shape[-2:], sigmas)
+    x_noisy = x + (delta if stacked else delta[0])
     trace_c = encoder_forward(net, x)
     trace_n = encoder_forward(net, x_noisy)
     diff = trace_c[-1] - trace_n[-1]
@@ -266,6 +265,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValidationError(f"objective must be one of {OBJECTIVES}")
+        floats = {"lr": self.lr, "lam": self.lam, "cap": self.cap,
+                  "sigma_train": self.sigma_train, "pgd epsilon": self.pgd.epsilon}
+        for name, value in floats.items():
+            if not np.isfinite(value).all():  # a sigma_train range checks both ends
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.lr <= 0:
             raise ValidationError("learning rate must be > 0")
         if self.steps < 1 or self.batch_size < 1:
@@ -346,11 +350,12 @@ def train_stack(configs, spec: NetSpec, data_source) -> list:
 
     The members share objective, steps, batch_size, lr, loss, warmup and
     pgd (a ValidationError names any that differ) and may differ in seed,
-    sigma_train (a (lo, hi) range included), cap and lam.  Each member draws
-    its init, data, noise and sigma streams from its own seed, one member at
-    a time, and rescales its own penalty weight, so it sees exactly what it
-    sees when trained alone.  ``data_source(rng, n) -> (x, y, rng)`` supplies
-    one member's batch.
+    sigma_train (a (lo, hi) range included), cap and lam.  Each member has
+    its own init, data, noise and sigma streams from its own seed and
+    rescales its own penalty weight, so it sees exactly what it sees when
+    trained alone.  ``data_source(states, n) -> (x (K, n, d), y (K, n),
+    states)`` supplies one step's batch for all members at once, member k's
+    rows from states[k]; the PMH noise of all members is one draw too.
 
     Returns one entry per config, in order: the member's (net, TrainLog),
     or the TrainingDivergedError its solo run raises.  A diverged member
@@ -381,11 +386,9 @@ def train_stack(configs, spec: NetSpec, data_source) -> list:
     # would only repeat that.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
-            batches = [data_source(m.data, head.batch_size) for m in members]
-            x = np.array([b[0] for b in batches])
-            y = np.array([b[1] for b in batches])
-            for m, b in zip(members, batches):
-                m.data = b[2]
+            x, y, data = data_source([m.data for m in members], head.batch_size)
+            for m, state in zip(members, data):
+                m.data = state
             w_t = warmup_weight(t, head.warmup)
 
             if head.objective == "erm":
@@ -474,8 +477,8 @@ def train(
     """SGD training loop, deterministic under config.seed: the stack of one
     (see train_stack).
 
-    ``data_source(rng, n) -> (x, y, rng)`` supplies fresh batches.  The
-    objective selects the per-step loss:
+    ``data_source(states, n) -> (x, y, states)`` supplies fresh batches, as
+    for train_stack with K = 1.  The objective selects the per-step loss:
 
     * erm:  task loss on the clean batch.
     * pgd:  task loss at x + delta with delta from the inner l-infinity attack.

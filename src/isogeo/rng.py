@@ -7,6 +7,14 @@ are pure: they return the values *and* the successor state, so identical
 variates are produced by an explicit Box-Muller transform over Philox
 uniforms (rejection-free, so the number of consumed uniforms is a fixed
 function of the request).
+
+:func:`normal_stack` draws for K streams at once, as a stack of nets needs:
+each member's uniforms come from its own Philox key and counter, and one
+Box-Muller pass transforms the whole (K, 2, m) block.  :func:`normal` is its
+K = 1 case.  A member's values equal its solo draw bit for bit, on the
+assumption that numpy's elementwise ``log``, ``sqrt``, ``sin`` and ``cos``
+give the same bits for an element whatever the length of the array around
+it (the pinned digests and the stack tests check this).
 """
 
 from __future__ import annotations
@@ -55,29 +63,41 @@ _WORD = (1 << 64) - 1
 
 # One Philox per thread, reset in full by every _generator call.  Building a
 # Philox costs about 17 us, most of it gathering OS entropy for a seed that
-# the key then replaces; setting its state costs about 4 us.
+# the key then replaces.  Setting its state from a new dict of new arrays
+# costs about 4 us; the thread's own state dict, whose counter and key lists
+# are rewritten in place, costs about a third of that.
 _LOCAL = threading.local()
+
+
+def _thread_philox() -> tuple:
+    """The thread's (generator, bit generator, state dict, counter, key)."""
+    try:
+        return _LOCAL.philox
+    except AttributeError:
+        g = np.random.Generator(np.random.Philox(key=0))
+        counter, key = [0, 0, 0, 0], [0, 0]
+        full = {
+            "bit_generator": "Philox",
+            "state": {"counter": counter, "key": key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        _LOCAL.philox = (g, g.bit_generator, full, counter, key)
+        return _LOCAL.philox
 
 
 def _generator(state: RngState) -> np.random.Generator:
     """The thread's generator, positioned as a fresh
     ``Philox(key=seed, counter=counter * 2**128)``: same key and counter, empty
     output buffer.  Callers draw from it before the next call repositions it."""
-    g = getattr(_LOCAL, "generator", None)
-    if g is None:
-        g = _LOCAL.generator = np.random.Generator(np.random.Philox(key=0))
+    g, bits, full, counter, key = _thread_philox()
     c = int(state.counter)
-    g.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([0, 0, c & _WORD, c >> 64], dtype=np.uint64),
-            "key": np.array([int(state.seed), 0], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    counter[2] = c & _WORD
+    counter[3] = c >> 64
+    key[0] = int(state.seed)
+    bits.state = full
     return g
 
 
@@ -117,36 +137,76 @@ def uniform(state: RngState, shape) -> tuple[np.ndarray, RngState]:
     return g.random(shape), state.next()
 
 
+def _check_sigma(sigma) -> None:
+    if not 0.0 <= sigma < math.inf:  # NaN fails both comparisons
+        raise ValidationError(f"sigma must be finite and >= 0, got {sigma}")
+
+
+def _box_muller(states, n: int, sigmas) -> np.ndarray:
+    """(K, n) block of N(0, sigma_k^2) draws, row k from states[k].
+
+    Each row's 2m uniforms (m = ceil(n / 2)) come from one ``random`` call
+    on its own positioned Philox: radii from the first m, angles from the
+    last m.  The transform then runs once over the whole block.  Rows with
+    sigma 0 draw nothing and come back as +0.0.
+    """
+    k = len(states)
+    m = (n + 1) // 2
+    u = np.empty((k, 2, m))
+    zero = [i for i, s in enumerate(sigmas) if s == 0.0]
+    for i, (state, sigma) in enumerate(zip(states, sigmas)):
+        if sigma == 0.0:
+            u[i] = 0.5  # any value log() keeps finite; the row is zeroed below
+        else:
+            _generator(state).random(out=u[i])
+    r, theta = u[:, 0], u[:, 1]
+    np.subtract(1.0, r, out=r)  # (0, 1]: keeps log() finite
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= _TWO_PI
+    z = np.empty((k, 2 * m))  # [r cos(theta), r sin(theta)], cut to n below
+    np.cos(theta, out=z[:, :m])
+    np.sin(theta, out=z[:, m:])
+    z[:, :m] *= r
+    z[:, m:] *= r
+    z = z[:, :n]
+    z *= sigmas[0] if k == 1 else np.asarray(sigmas, dtype=np.float64)[:, None]
+    if zero:
+        z[zero] = 0.0
+    return z
+
+
+def normal_stack(states, shape, sigmas) -> tuple[np.ndarray, list[RngState]]:
+    """One normal draw per stream: ``(K,) + shape`` values whose row k is
+    ``normal(states[k], shape, sigmas[k])[0]``, bit for bit; returns
+    (values, successors)."""
+    if len(sigmas) != len(states):
+        raise ValidationError(f"need one sigma per state, got {len(sigmas)} for {len(states)}")
+    for sigma in sigmas:
+        _check_sigma(sigma)
+    shape = _shape(shape)
+    n = math.prod(shape)
+    nxt = [s.next() for s in states]
+    if n == 0 or not any(sigmas):
+        return np.zeros((len(states),) + shape), nxt
+    return _box_muller(states, n, sigmas).reshape((len(states),) + shape), nxt
+
+
 def normal(state: RngState, shape, sigma: float = 1.0) -> tuple[np.ndarray, RngState]:
     """i.i.d. N(0, sigma^2) draws via Box-Muller; returns (values, successor).
 
     sigma = 0 is allowed and yields exact zeros (the state still advances so
     downstream draws do not depend on whether a zero-scale draw happened).
+    A sigma that is negative, infinite or NaN raises ValidationError.
     """
-    if sigma < 0:
-        raise ValidationError(f"sigma must be >= 0, got {sigma}")
+    _check_sigma(sigma)
     shape = _shape(shape)
     n = math.prod(shape)
     nxt = state.next()
     if sigma == 0.0 or n == 0:
         return np.zeros(shape), nxt
-    g = _generator(state)
-    m = (n + 1) // 2
-    r = g.random(m)
-    np.subtract(1.0, r, out=r)  # (0, 1]: keeps log() finite
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    theta = g.random(m)
-    theta *= _TWO_PI
-    z = np.empty(2 * m)  # [r cos(theta), r sin(theta)], cut to n below
-    np.cos(theta, out=z[:m])
-    np.sin(theta, out=z[m:])
-    z[:m] *= r
-    z[m:] *= r
-    z = z[:n]
-    z *= sigma
-    return z.reshape(shape), nxt
+    return _box_muller((state,), n, (sigma,)).reshape(shape), nxt
 
 
 def gaussian_matrix(

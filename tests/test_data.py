@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isogeo.data import (
     DiscreteNuisanceToy,
@@ -9,11 +11,12 @@ from isogeo.data import (
     discrete_nuisance_toy,
     model_batch_source,
     sample,
+    sample_stack,
     signal_only_predictor,
     threshold_labels,
 )
 from isogeo.errors import ShapeError, ValidationError
-from isogeo.rng import RngState
+from isogeo.rng import RngState, normal, uniform
 
 
 @pytest.fixture
@@ -121,9 +124,58 @@ def test_threshold_labels():
 
 def test_batch_source_protocol(model):
     source = model_batch_source(model)
-    x, y, rng = source(RngState(12), 16)
-    assert x.shape == (16, 8) and y.shape == (16,)
-    assert rng != RngState(12)
+    states = [RngState(12), RngState(13, 4)]
+    x, y, successors = source(states, 16)
+    assert x.shape == (2, 16, 8) and y.shape == (2, 16)
+    assert len(successors) == 2
+    assert all(after != before for after, before in zip(successors, states))
+
+
+def _reference_sample(model, n, rng):
+    """sample as it was before the stacked draw: three normal calls on one
+    member's stream, the model equation, then hstack."""
+    s, rng = normal(rng, (n, model.d_s))
+    nn, rng = normal(rng, (n, model.d_n))
+    eps, rng = normal(rng, n, model.sigma_eps)
+    y = s @ model.w_s + model.rho * (nn @ model.w_n) + eps
+    return np.hstack([s, nn]), y, rng
+
+
+def _unit_vector(rng, d):
+    v = rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+STREAMS = st.lists(
+    st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**40)), min_size=1, max_size=7
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    streams=STREAMS,
+    n=st.integers(1, 9),
+    d_s=st.integers(1, 5),
+    d_n=st.integers(1, 5),
+    sigma_eps=st.sampled_from([0.0, 0.1, 1.5]),
+    weights_seed=st.integers(0, 1000),
+)
+def test_sample_stack_equals_per_member_samples(streams, n, d_s, d_n, sigma_eps, weights_seed):
+    # General unit weights, so the matmuls round as they would per member.
+    g = np.random.default_rng(weights_seed)
+    m = GaussianNuisanceModel(d_s, d_n, _unit_vector(g, d_s), _unit_vector(g, d_n), 0.7, sigma_eps)
+    states = [RngState(seed, counter) for seed, counter in streams]
+    x, y, successors = sample_stack(m, n, states)
+    assert x.shape == (len(states), n, d_s + d_n) and y.shape == (len(states), n)
+    for k, state in enumerate(states):
+        want_x, want_y, want_next = _reference_sample(m, n, state)
+        assert x[k].tobytes() == want_x.tobytes()
+        assert y[k].tobytes() == want_y.tobytes()
+        assert threshold_labels(y)[k].tobytes() == threshold_labels(want_y).tobytes()
+        assert successors[k] == want_next
+        batch, after = sample(m, n, state)
+        assert batch.x.tobytes() == want_x.tobytes() and batch.y.tobytes() == want_y.tobytes()
+        assert after == want_next
 
 
 class TestDiscreteToy:
@@ -189,6 +241,36 @@ class TestDiscreteToy:
         assert x.shape == (50_000, 2)
         p_y1 = float(toy.joint()[:, :, 1].sum())
         assert abs(y.mean() - p_y1) < 4.0 / np.sqrt(50_000)
+
+    @staticmethod
+    def _reference_sample(toy, n, rng):
+        """The toy's sample as it was before the stacked source."""
+        S, N, Y = toy.shape
+        flat_joint = toy.joint().ravel()
+        u, rng = uniform(rng, n)
+        idx = np.minimum(np.searchsorted(np.cumsum(flat_joint), u, side="right"),
+                         flat_joint.size - 1)
+        si, rem = np.divmod(idx, N * Y)
+        ni, yi = np.divmod(rem, Y)
+        return toy.encode_input(si, ni), yi.astype(np.int64), rng
+
+    @settings(max_examples=25, deadline=None)
+    @given(streams=STREAMS, n=st.integers(1, 40), shape=st.tuples(
+        st.integers(1, 3), st.integers(1, 3), st.integers(2, 3)), table_seed=st.integers(0, 100))
+    def test_batch_source_equals_per_member_samples(self, streams, n, shape, table_seed):
+        g = np.random.default_rng(table_seed)
+        table = g.dirichlet(np.ones(shape[2]), size=shape[:2])
+        toy = DiscreteNuisanceToy(table, g.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape[:2]))
+        states = [RngState(seed, counter) for seed, counter in streams]
+        x, y, successors = toy.batch_source()(states, n)
+        assert x.shape == (len(states), n, 2) and y.shape == (len(states), n)
+        for k, state in enumerate(states):
+            want_x, want_y, want_next = self._reference_sample(toy, n, state)
+            assert x[k].tobytes() == want_x.tobytes() and y[k].tobytes() == want_y.tobytes()
+            assert successors[k] == want_next
+            solo_x, solo_y, after = toy.sample(n, state)
+            assert solo_x.tobytes() == want_x.tobytes() and solo_y.tobytes() == want_y.tobytes()
+            assert after == want_next
 
     def test_support_points(self):
         toy = discrete_nuisance_toy(np.full((2, 3, 2), 0.5))

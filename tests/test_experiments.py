@@ -108,6 +108,7 @@ class TestConfigParsing:
         "cap_grid": (0.1, -0.2),
         "sigma_train_grid": (0.05, -0.1),
         "sigma_range": (0.05, 0.2, 0.8),
+        "sigma_eval": (-0.1, 0.1),
     }
 
     @pytest.mark.parametrize("field", list(BAD_VALUES))
@@ -421,6 +422,37 @@ class TestCli:
         assert "config error: rho must be >= 0" in res.stderr
         assert not outdir.exists()
 
+    NON_FINITE = [
+        ("compare", "[train]\nlr = nan", "lr must be finite, got nan"),
+        ("compare", "[train]\nlam = inf", "lam must be finite, got inf"),
+        ("compare", "[train]\ncap = nan", "cap must be finite, got nan"),
+        ("compare", "[train]\nsigma_train = inf", "sigma_train must be finite, got inf"),
+        ("compare", "[train]\npgd_epsilon = nan", "pgd epsilon must be finite, got nan"),
+        ("compare", "[data]\nrho = nan", "rho must be finite, got nan"),
+        ("compare", "[data]\nsigma_eps = inf", "sigma_eps must be finite, got inf"),
+        ("compare", "[eval]\nsigma_eval = nan 0.1", "sigma_eval entries must be finite"),
+        ("talign", "[train]\nsigma_train_grid = nan 0.2",
+         "sigma_train_grid entry nan: sigma_train must be finite"),
+        ("capsweep", "[train]\ncap_grid = 0.1 inf", "cap_grid entry inf: cap must be finite"),
+        ("multiscale", "[train]\nsigma_range = 0.05 nan",
+         "sigma_range entry (0.05, nan): sigma_train must be finite"),
+    ]
+
+    @pytest.mark.parametrize("kind,lines,message", NON_FINITE)
+    def test_non_finite_value_exit_two_before_training(self, tmp_path, kind, lines, message):
+        cfgf = tmp_path / "c.ini"
+        outdir = tmp_path / "out"
+        # Small sizes, so that a run that does not stop early ends soon.
+        cfgf.write_text(
+            f"[experiment]\nkind = {kind}\noutdir = {outdir}\n"
+            f"steps = 20\nseeds_per_cell = 1\neval_rows = 16\nmc_draws = 2\n{lines}\n"
+        )
+        res = self._run(kind, "--config", str(cfgf))
+        assert res.returncode == 2
+        assert f"config error: {message}" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not outdir.exists()
+
     def test_diverging_pgd_row_is_listed_as_failed(self, tmp_path):
         # lr = 1e6 diverges both nets; the PGD attack meets the diverged net
         # first, and its row must still be a failed row, not a config error.
@@ -549,8 +581,41 @@ class TestCli:
         assert "Traceback" not in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_diagnose_non_finite_sigma_exit_two(self, tmp_path, sigma):
+        from isogeo.network import NetSpec, init_network, save_params
+        from isogeo.rng import RngState
+
+        net, _ = init_network(NetSpec(4, (6,), 3), RngState(1))
+        model_path = tmp_path / "net.bin"
+        save_params(net, str(model_path))
+        out = tmp_path / "diag.json"
+        res = self._run("diagnose", "--model", str(model_path), "--sigma-grid", "0.1", sigma,
+                        "--batch", "16", "--mc-draws", "2", "--out", str(out))
+        assert res.returncode == 2
+        assert "config error: --sigma-grid values must be finite and > 0" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
     def test_diagnose_missing_model_exit_two(self, tmp_path):
         res = self._run(
             "diagnose", "--model", str(tmp_path / "none.bin"), "--sigma-grid", "0.1"
         )
         assert res.returncode == 2
+
+
+@pytest.mark.parametrize("loss", ["mse", "cross-entropy"])
+def test_data_source_equals_per_member_samples(loss):
+    from isogeo import data as dt
+    from isogeo.rng import RngState
+
+    config = small_config(loss=loss, d_s=3, d_n=5, rho=0.7, sigma_eps=0.2)
+    states = [RngState(4, 1), RngState(9), RngState(2**63 + 7, 2**65)]
+    x, y, successors = config.data_source()(states, 7)
+    assert x.shape == (3, 7, 8) and y.shape == (3, 7)
+    for k, state in enumerate(states):
+        batch, after = dt.sample(config.model(), 7, state)
+        want_y = dt.threshold_labels(batch.y) if loss == "cross-entropy" else batch.y
+        assert x[k].tobytes() == batch.x.tobytes()
+        assert y[k].dtype == want_y.dtype and y[k].tobytes() == want_y.tobytes()
+        assert successors[k] == after

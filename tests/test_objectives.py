@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isogeo.data import GaussianNuisanceModel, model_batch_source, sample, threshold_labels
+from isogeo.data import (
+    GaussianNuisanceModel,
+    model_batch_source,
+    sample,
+    sample_stack,
+    threshold_labels,
+)
 from isogeo.errors import TrainingDivergedError, ValidationError
 from isogeo.network import (
     Layer,
@@ -403,9 +409,9 @@ def _same_run(stacked, solo):
 
 
 def _label_source(model):
-    def source(rng, n):
-        batch, rng = sample(model, n, rng)
-        return batch.x, threshold_labels(batch.y), rng
+    def source(states, n):
+        x, y, states = sample_stack(model, n, states)
+        return x, threshold_labels(y), states
 
     return source
 

@@ -1,9 +1,12 @@
 import hashlib
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isogeo.errors import ValidationError
 from isogeo.rng import (
@@ -13,6 +16,7 @@ from isogeo.rng import (
     derive,
     gaussian_matrix,
     normal,
+    normal_stack,
     uniform,
 )
 
@@ -113,6 +117,65 @@ def test_threads_draw_their_own_streams():
 def test_negative_sigma_rejected():
     with pytest.raises(ValidationError):
         normal(RngState(0), 3, -0.1)
+
+
+@pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf, -math.inf])
+def test_bad_sigma_rejected_by_both_draws(sigma):
+    with pytest.raises(ValidationError, match="sigma must be finite and >= 0"):
+        normal(RngState(0), 3, sigma)
+    with pytest.raises(ValidationError, match="sigma must be finite and >= 0"):
+        normal_stack([RngState(0), RngState(1)], 3, [1.0, sigma])
+
+
+def test_stack_needs_one_sigma_per_state():
+    with pytest.raises(ValidationError, match="one sigma per state"):
+        normal_stack([RngState(0), RngState(1)], 3, [1.0])
+
+
+def _reference_normal(state, shape, sigma=1.0):
+    """normal as it was before the stacked draw: a fresh Philox per call,
+    radii from a first random(m) call and angles from a second."""
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    n = math.prod(shape)
+    if sigma == 0.0 or n == 0:
+        return np.zeros(shape), state.next()
+    g = _fresh_generator(state)
+    m = (n + 1) // 2
+    r = np.sqrt(-2.0 * np.log(1.0 - g.random(m)))
+    theta = g.random(m) * (2.0 * math.pi)
+    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+    return (z * sigma).reshape(shape), state.next()
+
+
+SHAPES = st.sampled_from([(), (0, 3), 1, 7, 8, (5, 3), (3, 0), (32, 8), (3, 5, 7)]) | st.tuples(
+    st.integers(1, 9), st.integers(1, 9)
+)
+MEMBER = st.tuples(
+    st.integers(0, 2**64 - 1), st.integers(0, 2**70), st.sampled_from([0.0, 0.05, 1.0, 2.5])
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=SHAPES, members=st.lists(MEMBER, min_size=1, max_size=9))
+def test_normal_stack_rows_equal_reference_draws(shape, members):
+    states = [RngState(seed, counter) for seed, counter, _ in members]
+    sigmas = [sigma for _, _, sigma in members]
+    z, successors = normal_stack(states, shape, sigmas)
+    want_shape = (shape,) if isinstance(shape, int) else shape
+    assert z.shape == (len(members),) + want_shape and z.dtype == np.float64
+    for row, state, sigma, after in zip(z, states, sigmas, successors):
+        want, want_next = _reference_normal(state, shape, sigma)
+        assert after == want_next
+        assert row.tobytes() == want.tobytes()  # bits, so -0.0 != +0.0
+        solo, _ = normal(state, shape, sigma)
+        assert solo.shape == want.shape and solo.tobytes() == want.tobytes()
+
+
+def test_zero_sigma_member_draws_positive_zeros():
+    states = [RngState(3), RngState(4), RngState(5)]
+    z, _ = normal_stack(states, (4, 5), [1.0, 0.0, 0.5])
+    assert z[1].tobytes() == np.zeros((4, 5)).tobytes()
+    assert np.count_nonzero(z[0]) == 20 and np.count_nonzero(z[2]) == 20
 
 
 @pytest.mark.parametrize("shape", [(-2, 3), (-2, -3), -1])
