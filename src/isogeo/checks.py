@@ -670,6 +670,18 @@ def check_proper_loss_drift_floor(
     )
 
 
+def _suppression_gap(rho: float, n: int, seed: int, sigma_eps: float) -> float:
+    """Mean of (f_blind - y)^2 - (f_star - y)^2 over n rows drawn at rho.
+    Its batch and predictions are freed on return, before the next rho's
+    rows are drawn."""
+    model = dt.GaussianNuisanceModel.canonical(4, 4, rho, sigma_eps)
+    batch, _ = dt.sample(model, n, derive(seed, "cost", rho))
+    f_star = dt.bayes_predictor(model, batch.x)
+    f_blind = dt.signal_only_predictor(model, batch.x)
+    diff = (f_blind - batch.y) ** 2 - (f_star - batch.y) ** 2
+    return float(diff.mean())
+
+
 def check_suppression_cost_exact(
     rhos: tuple = (0.1, 0.5, 0.9),
     n: int = 1_000_000,
@@ -690,13 +702,7 @@ def check_suppression_cost_exact(
     ses = {}
     ok = True
     for rho in rhos:
-        model = dt.GaussianNuisanceModel.canonical(4, 4, rho, sigma_eps)
-        rng = derive(seed, "cost", rho)
-        batch, rng = dt.sample(model, n, rng)
-        f_star = dt.bayes_predictor(model, batch.x)
-        f_blind = dt.signal_only_predictor(model, batch.x)
-        diff = (f_blind - batch.y) ** 2 - (f_star - batch.y) ** 2
-        gap = float(diff.mean())
+        gap = _suppression_gap(rho, n, seed, sigma_eps)
         se = float(np.sqrt((2 * rho**4 + 4 * rho**2 * sigma_eps**2) / n))
         measured[f"gap_rho={rho:g}"] = gap
         bounds[f"target_rho={rho:g}"] = rho**2

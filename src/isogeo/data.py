@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .linalg import as_matrix, as_vector
-from .rng import RngState, normal_stack, uniform
+from .rng import RngState, _normal_into, uniform
 
 UNIT_TOL = 1e-12
 
@@ -130,15 +130,26 @@ def sample_stack(
     """n rows for each of K streams: x (K, n, d_s + d_n), y (K, n) and the
     successor states.  Member k's rows are ``sample(model, n, states[k])``,
     bit for bit: its s, n and eps blocks are three draws from its own
-    stream, made for all members at once."""
+    stream, made for all members at once.
+
+    s and n are drawn straight into their column blocks of x.  y is summed
+    in place as s @ w_s + rho * (n @ w_n) + eps, in that order, and eps is
+    drawn into the (K, n) array that held the nuisance term; so beyond x
+    and y a call holds that one array and the draws' chunk blocks."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     k = len(states)
-    s, states = normal_stack(states, (n, model.d_s), (1.0,) * k)
-    nn, states = normal_stack(states, (n, model.d_n), (1.0,) * k)
-    eps, states = normal_stack(states, n, (model.sigma_eps,) * k)
-    y = s @ model.w_s + model.rho * (nn @ model.w_n) + eps
-    return np.concatenate([s, nn], axis=-1), y, states
+    x = np.empty((k, n, model.d_in))
+    s, nn = x[..., : model.d_s], x[..., model.d_s :]
+    states = _normal_into(states, s, (1.0,) * k)
+    states = _normal_into(states, nn, (1.0,) * k)
+    y = s @ model.w_s
+    scratch = nn @ model.w_n
+    scratch *= model.rho
+    y += scratch
+    states = _normal_into(states, scratch[:, None, :], (model.sigma_eps,) * k)
+    y += scratch
+    return x, y, states
 
 
 def sample(model: GaussianNuisanceModel, n: int, rng: RngState) -> tuple[LabeledBatch, RngState]:

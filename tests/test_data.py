@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isogeo import rng
 from isogeo.data import (
     DiscreteNuisanceToy,
     GaussianNuisanceModel,
@@ -159,23 +163,44 @@ STREAMS = st.lists(
     d_n=st.integers(1, 5),
     sigma_eps=st.sampled_from([0.0, 0.1, 1.5]),
     weights_seed=st.integers(0, 1000),
+    chunk=st.sampled_from([None, 2, 5, 8]),
 )
-def test_sample_stack_equals_per_member_samples(streams, n, d_s, d_n, sigma_eps, weights_seed):
+def test_sample_stack_equals_per_member_samples(
+    streams, n, d_s, d_n, sigma_eps, weights_seed, chunk
+):
     # General unit weights, so the matmuls round as they would per member.
+    # A small chunk puts the draws of up to 45 values across chunk
+    # boundaries; the reference draws are made at the real chunk, in one.
     g = np.random.default_rng(weights_seed)
     m = GaussianNuisanceModel(d_s, d_n, _unit_vector(g, d_s), _unit_vector(g, d_n), 0.7, sigma_eps)
     states = [RngState(seed, counter) for seed, counter in streams]
-    x, y, successors = sample_stack(m, n, states)
+    wants = [_reference_sample(m, n, state) for state in states]
+    with mock.patch.object(rng, "_CHUNK", chunk or rng._CHUNK):
+        x, y, successors = sample_stack(m, n, states)
+        solos = [sample(m, n, state) for state in states]
     assert x.shape == (len(states), n, d_s + d_n) and y.shape == (len(states), n)
-    for k, state in enumerate(states):
-        want_x, want_y, want_next = _reference_sample(m, n, state)
+    for k, (want_x, want_y, want_next) in enumerate(wants):
         assert x[k].tobytes() == want_x.tobytes()
         assert y[k].tobytes() == want_y.tobytes()
         assert threshold_labels(y)[k].tobytes() == threshold_labels(want_y).tobytes()
         assert successors[k] == want_next
-        batch, after = sample(m, n, state)
+        batch, after = solos[k]
         assert batch.x.tobytes() == want_x.tobytes() and batch.y.tobytes() == want_y.tobytes()
         assert after == want_next
+
+
+def test_sample_memory_is_its_output(model):
+    # The rows are drawn into x in chunks: no full-size uniform block,
+    # Box-Muller output or concatenated copy is held beside x and y.  The
+    # first small call makes the one-time allocations (the thread's Philox).
+    sample(model, 10, RngState(6))
+    tracemalloc.start()
+    try:
+        batch, _ = sample(model, 200_000, RngState(6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (batch.x.nbytes + batch.y.nbytes)
 
 
 class TestDiscreteToy:

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isogeo import rng
 from isogeo.errors import ValidationError
 from isogeo.rng import (
     RngState,
     _generator,
+    _normal_into,
     choice_without_replacement,
     derive,
     gaussian_matrix,
@@ -96,6 +98,20 @@ def test_reused_generator_matches_fresh_philox():
             assert np.array_equal(draw(_generator(state)), draw(_fresh_generator(state)))
 
 
+@pytest.mark.parametrize("skip", [*range(10), 2**40, 2**40 + 1, 2**40 + 7, 2**62 + 3])
+def test_positioned_generator_matches_fresh_philox_after_discards(skip):
+    for state in [RngState(0), RngState(2**64 - 1, 2**64 + 3)]:
+        want = _fresh_generator(state)
+        if skip < 10:
+            want.random(skip)  # discard by drawing
+        else:
+            want.bit_generator.advance(skip >> 2)  # one counter step per 4 doubles
+            want.random(skip & 3)
+        assert _generator(state, skip).random(11).tobytes() == want.random(11).tobytes()
+        # An unpositioned call starts the block again.
+        assert _generator(state).random(3).tobytes() == _fresh_generator(state).random(3).tobytes()
+
+
 def test_threads_draw_their_own_streams():
     states = [RngState(100 + i, i) for i in range(4)]
     expected = [normal(s, 64)[0] for s in states]
@@ -155,20 +171,59 @@ MEMBER = st.tuples(
 )
 
 
-@settings(max_examples=80, deadline=None)
-@given(shape=SHAPES, members=st.lists(MEMBER, min_size=1, max_size=9))
-def test_normal_stack_rows_equal_reference_draws(shape, members):
-    states = [RngState(seed, counter) for seed, counter, _ in members]
-    sigmas = [sigma for _, _, sigma in members]
+def _assert_rows_equal_reference_draws(states, shape, sigmas):
     z, successors = normal_stack(states, shape, sigmas)
     want_shape = (shape,) if isinstance(shape, int) else shape
-    assert z.shape == (len(members),) + want_shape and z.dtype == np.float64
+    assert z.shape == (len(states),) + want_shape and z.dtype == np.float64
     for row, state, sigma, after in zip(z, states, sigmas, successors):
         want, want_next = _reference_normal(state, shape, sigma)
         assert after == want_next
         assert row.tobytes() == want.tobytes()  # bits, so -0.0 != +0.0
         solo, _ = normal(state, shape, sigma)
         assert solo.shape == want.shape and solo.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=SHAPES, members=st.lists(MEMBER, min_size=1, max_size=9))
+def test_normal_stack_rows_equal_reference_draws(shape, members):
+    states = [RngState(seed, counter) for seed, counter, _ in members]
+    _assert_rows_equal_reference_draws(states, shape, [sigma for _, _, sigma in members])
+
+
+CHUNK_STATES = [RngState(11), RngState(2**64 - 1, 2**70), RngState(5, 3), RngState(12, 9)]
+CHUNK_SIGMAS = [1.0, 0.0, 2.5, 0.05]
+
+
+@pytest.mark.parametrize("chunk", [5, 8])
+@pytest.mark.parametrize("odd", [True, False])
+def test_normal_stack_rows_equal_reference_draws_across_chunks(monkeypatch, chunk, odd):
+    # A small chunk (5 is not a multiple of Philox's 4-double block) keeps
+    # the reference draws fast.  m pairs sit around one and two chunks.
+    monkeypatch.setattr(rng, "_CHUNK", chunk)
+    for m in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        n = 2 * m - odd
+        _assert_rows_equal_reference_draws(CHUNK_STATES, n, CHUNK_SIGMAS)
+        _assert_rows_equal_reference_draws(CHUNK_STATES[:1], (n, 1), CHUNK_SIGMAS[:1])
+
+
+def test_normal_stack_rows_equal_reference_draws_across_the_real_chunk():
+    n = 2 * (2 * rng._CHUNK + 1) - 1
+    _assert_rows_equal_reference_draws(CHUNK_STATES[:3], n, CHUNK_SIGMAS[:3])
+
+
+@pytest.mark.parametrize("chunk", [5, 8, None])
+@pytest.mark.parametrize("rows", [1, 7, 40])
+def test_draw_into_strided_column_block_equals_reference(monkeypatch, chunk, rows):
+    if chunk:
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
+    wide = np.full((len(CHUNK_STATES), rows, 7), np.nan)
+    block = wide[:, :, 2:5]  # rows of 3 values, 7 apart
+    successors = _normal_into(CHUNK_STATES, block, CHUNK_SIGMAS)
+    for k, (state, sigma) in enumerate(zip(CHUNK_STATES, CHUNK_SIGMAS)):
+        want, want_next = _reference_normal(state, (rows, 3), sigma)
+        assert np.ascontiguousarray(block[k]).tobytes() == want.tobytes()
+        assert successors[k] == want_next
+    assert np.isnan(wide[:, :, :2]).all() and np.isnan(wide[:, :, 5:]).all()
 
 
 def test_zero_sigma_member_draws_positive_zeros():
@@ -205,6 +260,15 @@ def test_choice_without_replacement():
     assert all(0 <= i < 20 for i in idx)
     with pytest.raises(ValidationError):
         choice_without_replacement(RngState(4), 3, 5)
+
+
+def test_successor_checks_the_counter_bound_only():
+    last = RngState(2**64 - 1, 2**128 - 2).next()
+    assert last == RngState(2**64 - 1, 2**128 - 1)
+    assert hash(last) == hash(RngState(2**64 - 1, 2**128 - 1))
+    assert {RngState(3, 1): "a"}[RngState(3, 0).next()] == "a"
+    with pytest.raises(ValidationError, match=r"counter must be an int in \[0, 2\*\*128\)"):
+        last.next()
 
 
 def test_state_validation():
