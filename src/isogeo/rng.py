@@ -66,16 +66,14 @@ class RngState:
             raise ValidationError(f"counter must be an int in [0, 2**128), got {self.counter!r}")
 
     def next(self) -> "RngState":
-        # The seed is already valid, so only the counter bound is checked.
-        # Filling the instance dict skips the constructor and __post_init__;
-        # equality and hashing read the same fields.
+        # The seed is already valid, so only the counter bound is checked;
+        # filling the two fields directly skips the frozen constructor and
+        # __post_init__ (tests/test_rng.py pins the field list this relies on).
         c = self.counter + 1
         if c >= 2**128:
             raise ValidationError(f"counter must be an int in [0, 2**128), got {c!r}")
         nxt = object.__new__(RngState)
-        fields = nxt.__dict__
-        fields["seed"] = self.seed
-        fields["counter"] = c
+        nxt.__dict__.update(seed=self.seed, counter=c)
         return nxt
 
 
@@ -237,11 +235,7 @@ def _box_muller(states, sigmas, out) -> None:
         zs *= r[:, :ws]
         zc *= scale
         zs *= scale
-        if z is None:
-            continue  # the values are already in out
-        if w == m:  # the whole draw: its values are z's rows cut to n
-            out[...] = z.reshape(k, 2 * m)[:, :n].reshape(out.shape)
-        else:
+        if z is not None:
             _copy_into(out, p, zc)
             _copy_into(out, m + p, zs)
     zero = [i for i, s in enumerate(sigmas) if s == 0.0]
@@ -296,14 +290,8 @@ def normal(state: RngState, shape, sigma: float = 1.0) -> tuple[np.ndarray, RngS
     downstream draws do not depend on whether a zero-scale draw happened).
     A sigma that is negative, infinite or NaN raises ValidationError.
     """
-    _check_sigma(sigma)
-    shape = _shape(shape)
-    n = math.prod(shape)
-    nxt = state.next()
-    if sigma == 0.0 or n == 0:
-        return np.zeros(shape), nxt
-    z = np.empty(shape)
-    _box_muller((state,), (sigma,), z.reshape(1, 1, n))
+    z = np.empty(_shape(shape))
+    (nxt,) = _normal_into((state,), z.reshape(1, 1, z.size), (sigma,))
     return z, nxt
 
 

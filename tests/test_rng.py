@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import sys
@@ -260,6 +261,15 @@ def test_choice_without_replacement():
     assert all(0 <= i < 20 for i in idx)
     with pytest.raises(ValidationError):
         choice_without_replacement(RngState(4), 3, 5)
+
+
+def test_successor_fills_every_state_field():
+    # next() fills seed and counter without the constructor; a new field,
+    # default or slots would need it changed.
+    assert [f.name for f in dataclasses.fields(RngState)] == ["seed", "counter"]
+    assert not hasattr(RngState, "__slots__")
+    after = RngState(7, 4).next()
+    assert vars(after) == vars(RngState(7, 5))
 
 
 def test_successor_checks_the_counter_bound_only():
