@@ -91,9 +91,21 @@ def _reports(tmp_path):
     adversarial = ck.check_adversarial_geometry_signature(
         seed=19, n_seeds=1, config=xp.ExperimentConfig(kind="compare", steps=100, mc_draws=48)
     )
+    # The million-row checks at reduced n: the even counts span several
+    # blocks of rows or of the Stein draw, the odd ones do not split.
+    bulk = [
+        ck.check_stein_identity(g_tag="quadratic", n=250_001, seed=23),
+        ck.check_stein_identity(g_tag="cubic", n=250_000, seed=23),
+        ck.check_encoding_necessity(n=150_000, seed=23),
+        ck.check_encoding_necessity(
+            dt.GaussianNuisanceModel.canonical(3, 5, 0.4, 0.2), n=40_001, seed=23
+        ),
+        ck.check_suppression_cost_exact(n=100_002, seed=23),
+        ck.check_suppression_cost_exact(rhos=(0.3,), n=30_001, seed=24),
+    ]
     out = {}
     for name, reports in (("training_free", training_free), ("cap", [cap]),
-                          ("adversarial", [adversarial])):
+                          ("adversarial", [adversarial]), ("bulk", bulk)):
         out[name] = str(tmp_path / f"{name}.json")
         ck.write_reports(reports, out[name])
     return out
@@ -146,6 +158,7 @@ DIGESTS = {
     "multiscale:csv": "be7fa5729d60bc0e2fe10162bc36871f5ebc6aa1e69a2f224acc22692c4054a8",
     "multiscale:json": "78f43ad73c59c4310ea8bf15fd095a455b8bda65f68ac397ee81007ed0067404",
     "reports:adversarial": "22d10ab0e91151d49482be7c46c76f034e998eec65073808cdc284720eba8d46",
+    "reports:bulk": "fa1b544529991deec970ef130fa6046940b18f12e69fbef5db0605365be2be1d",
     "reports:cap": "af5502c490fdfd970434b08f46f426e92b3a71433556d7d8dc787dabe0e22d09",
     "reports:training_free": "a8373f6095721aff0278687ee22991bcdb385855ff71aa543a5d77ff56ed2187",
     "talign:csv": "e6a62bd1a3ff258b1c8d6135b303bf6bdbdafc0ea76686e63e8f42df979fd7b9",
