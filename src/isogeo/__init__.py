@@ -15,6 +15,7 @@ from .data import (
     bayes_predictor,
     discrete_nuisance_toy,
     sample,
+    sample_blocks,
     sample_stack,
     signal_only_predictor,
     threshold_labels,

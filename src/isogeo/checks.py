@@ -174,30 +174,35 @@ def check_stein_identity(
     """
     if g_tag not in ("quadratic", "cubic"):
         raise ValidationError(f"g_tag must be 'quadratic' or 'cubic', got {g_tag!r}")
+    if n < 2:
+        raise ValidationError(f"n must be >= 2 for a standard error, got {n}")
     model = model or default_model()
     rng = derive(seed, "stein", g_tag)
-    nu_all = []
+    nu = np.empty(n)
     chunk = 200_000
-    remaining = n
-    while remaining > 0:
-        k = min(chunk, remaining)
-        nn, rng = normal(rng, (k, model.d_n))
-        nu_all.append(nn @ model.w_n)
-        remaining -= k
-    nu = np.concatenate(nu_all)
+    for i in range(0, n, chunk):
+        nn, rng = normal(rng, (min(chunk, n - i), model.d_n))
+        nu[i : i + chunk] = nn @ model.w_n
+        del nn  # before the next chunk is drawn
+    # Products are formed in place, so at most nu and the two sample
+    # vectors are held at once.
     if g_tag == "quadratic":
-        lhs_samples = nu**2 * nu  # g(n) <v, n>
+        lhs_samples = nu**2  # g(n) <v, n> = nu^2 nu
         rhs_samples = 2.0 * nu  # d_v g = 2 <w_n, n>
         target = 0.0
     else:
-        lhs_samples = nu**3 * nu
-        rhs_samples = 3.0 * nu**2
+        lhs_samples = nu**3
+        rhs_samples = nu**2  # d_v g = 3 nu^2
+        rhs_samples *= 3.0
         target = 3.0
+    lhs_samples *= nu
+    del nu
     lhs = float(lhs_samples.mean())
     rhs = float(rhs_samples.mean())
     se_l = float(lhs_samples.std(ddof=1) / np.sqrt(n))
     se_r = float(rhs_samples.std(ddof=1) / np.sqrt(n))
-    diff = lhs_samples - rhs_samples
+    diff = np.subtract(lhs_samples, rhs_samples, out=lhs_samples)
+    del lhs_samples, rhs_samples
     se_d = float(diff.std(ddof=1) / np.sqrt(n))
     z = z_star(3)
     passed = (
@@ -222,13 +227,14 @@ def check_encoding_necessity(
 ) -> CheckReport:
     """The loss-optimal predictor keeps mean nuisance-directional derivative
     exactly rho: verified directly (the derivative is constant) and through
-    the Stein route E[f*(x) <w_n, n>] = rho."""
+    the Stein route E[f*(x) <w_n, n>] = rho.  The per-row products are
+    made block by block into one n-vector."""
+    if n < 2:
+        raise ValidationError(f"n must be >= 2 for a standard error, got {n}")
     model = model or default_model()
-    rng = derive(seed, "encoding")
-    batch, rng = dt.sample(model, n, rng)
-    f_star = dt.bayes_predictor(model, batch.x)
-    nu = batch.nuisance @ model.w_n
-    samples = f_star * nu
+    samples = np.empty(n)
+    for rows, x, _ in dt.sample_blocks(model, n, derive(seed, "encoding")):
+        samples[rows] = dt.bayes_predictor(model, x) * (x[:, model.d_s :] @ model.w_n)
     stein_lhs = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(n))
     direct = model.rho  # d/d(w_n direction) of <w_s,s> + rho <w_n,n> is rho everywhere
@@ -672,13 +678,14 @@ def check_proper_loss_drift_floor(
 
 def _suppression_gap(rho: float, n: int, seed: int, sigma_eps: float) -> float:
     """Mean of (f_blind - y)^2 - (f_star - y)^2 over n rows drawn at rho.
-    Its batch and predictions are freed on return, before the next rho's
-    rows are drawn."""
+    The rows come in blocks from dt.sample_blocks, each block's differences
+    going into one n-vector, so a call holds that vector and one block."""
     model = dt.GaussianNuisanceModel.canonical(4, 4, rho, sigma_eps)
-    batch, _ = dt.sample(model, n, derive(seed, "cost", rho))
-    f_star = dt.bayes_predictor(model, batch.x)
-    f_blind = dt.signal_only_predictor(model, batch.x)
-    diff = (f_blind - batch.y) ** 2 - (f_star - batch.y) ** 2
+    diff = np.empty(n)
+    for rows, x, y in dt.sample_blocks(model, n, derive(seed, "cost", rho)):
+        f_star = dt.bayes_predictor(model, x)
+        f_blind = dt.signal_only_predictor(model, x)
+        diff[rows] = (f_blind - y) ** 2 - (f_star - y) ** 2
     return float(diff.mean())
 
 
@@ -696,6 +703,8 @@ def check_suppression_cost_exact(
     variance 2 rho^4 + 4 rho^2 sigma_eps^2; each rho must match within
     z_star(len(rhos)) of those exact SEs at the stated sample count.
     """
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
     z = z_star(len(rhos))
     measured = {}
     bounds = {}

@@ -124,38 +124,84 @@ class LabeledBatch:
         return self.x[:, self.d_s :]
 
 
+def _fill_rows(model: GaussianNuisanceModel, states, n: int, a: int, x, y) -> list[RngState]:
+    """Fill x (K, r, d_s + d_n) and y (K, r) with r rows of
+    ``sample_stack(model, n, states)`` and return the successor states:
+    all rows for a = 0 and r = n, and for even n and h = n / 2 rows
+    [a, a + r / 2) then [h + a, h + a + r / 2).  In a draw that fills n
+    rows a pair's cosine and sine sit h rows apart (see rng._box_muller),
+    so these rows are the window of each of the s, n and eps draws' pairs
+    that starts at row a.  s and n are drawn straight into their column
+    blocks of x.  y is summed in place as s @ w_s + rho * (n @ w_n)
+    + eps, in that order, and eps is drawn into the (K, r) array that held
+    the nuisance term."""
+    k = len(states)
+    s, nn = x[..., : model.d_s], x[..., model.d_s :]
+    states = _normal_into(states, s, (1.0,) * k, n * model.d_s, a * model.d_s)
+    states = _normal_into(states, nn, (1.0,) * k, n * model.d_n, a * model.d_n)
+    np.matmul(s, model.w_s, out=y)
+    scratch = nn @ model.w_n
+    scratch *= model.rho
+    y += scratch
+    states = _normal_into(states, scratch[:, None, :], (model.sigma_eps,) * k, n, a)
+    y += scratch
+    return states
+
+
 def sample_stack(
     model: GaussianNuisanceModel, n: int, states
 ) -> tuple[np.ndarray, np.ndarray, list[RngState]]:
     """n rows for each of K streams: x (K, n, d_s + d_n), y (K, n) and the
     successor states.  Member k's rows are ``sample(model, n, states[k])``,
     bit for bit: its s, n and eps blocks are three draws from its own
-    stream, made for all members at once.
-
-    s and n are drawn straight into their column blocks of x.  y is summed
-    in place as s @ w_s + rho * (n @ w_n) + eps, in that order, and eps is
-    drawn into the (K, n) array that held the nuisance term; so beyond x
-    and y a call holds that one array and the draws' chunk blocks."""
+    stream, made for all members at once (see _fill_rows).  Beyond x and y
+    a call holds one (K, n) array and the draws' chunk blocks."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    k = len(states)
-    x = np.empty((k, n, model.d_in))
-    s, nn = x[..., : model.d_s], x[..., model.d_s :]
-    states = _normal_into(states, s, (1.0,) * k)
-    states = _normal_into(states, nn, (1.0,) * k)
-    y = s @ model.w_s
-    scratch = nn @ model.w_n
-    scratch *= model.rho
-    y += scratch
-    states = _normal_into(states, scratch[:, None, :], (model.sigma_eps,) * k)
-    y += scratch
-    return x, y, states
+    x = np.empty((len(states), n, model.d_in))
+    y = np.empty((len(states), n))
+    return x, y, _fill_rows(model, states, n, 0, x, y)
 
 
 def sample(model: GaussianNuisanceModel, n: int, rng: RngState) -> tuple[LabeledBatch, RngState]:
     """Draw n rows; s, n, eps independent, y from the model equation."""
     x, y, (rng,) = sample_stack(model, n, (rng,))
     return LabeledBatch(x[0], y[0], model.d_s, model.d_n), rng
+
+
+# Rows in one block of sample_blocks.  At 16 columns a block's x is 2 MiB;
+# on a 2-vCPU Xeon, blocks of 2**14 to 2**16 rows ran the million-row
+# checks within run-to-run noise of one another.
+_BLOCK_ROWS = 1 << 14
+
+
+def sample_blocks(model: GaussianNuisanceModel, n: int, rng: RngState):
+    """The rows of ``sample(model, n, rng)`` in blocks: yields (rows, x, y)
+    with x and y equal to that sample's ``x[rows]`` and ``y[rows]`` bit for
+    bit, the blocks' rows covering range(n) once.  A block holds at most
+    _BLOCK_ROWS rows: for even n, rows [a, b) and [n/2 + a, n/2 + b),
+    whose values come from the same Box-Muller pairs (see _fill_rows), so
+    no uniform is drawn twice.  An odd n is one block of all rows.  The x
+    and y arrays are reused by the next block; the sample's successor
+    state is not returned."""
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    return _blocks(model, n, rng)
+
+
+def _blocks(model: GaussianNuisanceModel, n: int, rng: RngState):
+    if n % 2:
+        x, y, _ = sample_stack(model, n, (rng,))
+        yield np.arange(n), x[0], y[0]
+        return
+    h = n // 2
+    step = min(_BLOCK_ROWS // 2, h)
+    x = np.empty((1, 2 * step, model.d_in))
+    y = np.empty((1, 2 * step))
+    for a in range(0, h, step):
+        r = 2 * min(step, h - a)
+        _fill_rows(model, (rng,), n, a, x[:, :r], y[:, :r])
+        yield np.r_[a : a + r // 2, h + a : h + a + r // 2], x[0, :r], y[0, :r]
 
 
 def _check_layout(model: GaussianNuisanceModel, x: np.ndarray) -> np.ndarray:

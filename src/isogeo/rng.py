@@ -29,6 +29,15 @@ only trades the size of those blocks for per-chunk call overhead, and one
 fixed value keeps every draw's footprint the same on every machine.  A draw
 that fits in one chunk makes one ``random`` call per member and one pass, as
 it would without chunks.
+
+The same positioning lets a caller draw only a window of a draw's pairs:
+``_normal_into(states, out, sigmas, n, p0)`` fills out with the cosines and
+then the sines of pairs [p0, p0 + c) of a draw of n values, the values p0 ..
+p0 + c - 1 and m + p0 .. m + p0 + c - 1 for m = ceil(n / 2).  When a draw
+fills an even number 2h of rows, a pair's cosine and sine sit h rows apart,
+which is how ``data.sample_blocks`` makes a sample a block of rows at a
+time without drawing any uniform twice.  The whole draw is the window
+[0, m), so there is one Box-Muller transform for both.
 """
 
 from __future__ import annotations
@@ -181,34 +190,43 @@ def _check_sigma(sigma) -> None:
 _CHUNK = 1 << 13
 
 
-def _box_muller(states, sigmas, out) -> None:
-    """Fill out (K, rows, cols) with N(0, sigma_k^2) draws, member k's
-    rows * cols values from states[k] in row-major order.  out may be a
-    strided view, such as a column block of a wider array.
+def _box_muller(states, sigmas, out, n=None, p0=0) -> None:
+    """Fill out (K, rows, cols) with a window of pairs of member k's draw
+    of n N(0, sigma_k^2) values from states[k]; n defaults to rows * cols,
+    the whole draw.  out may be a strided view, such as a column block of a
+    wider array.
 
-    A member's n values take m = ceil(n / 2) pairs.  Pair p takes radius
+    The draw's values take m = ceil(n / 2) pairs.  Pair p takes radius
     uniform p and angle uniform m + p of the member's Philox stream and gives
     value p (r cos(theta)) and value m + p (r sin(theta)); the sine of the
-    last pair is dropped when n is odd.  The pairs are made in chunks of
-    _CHUNK: each member fills its row of one (K, 2, w) uniform block, with
-    one ``random`` call when the whole draw is one chunk and otherwise one
-    for its radii and one for its angles, positioned by ``_generator``'s
-    skip.  The transform then runs once over the block.  When out holds
-    each member's values as one run (rows == 1), the chunk's cosines and
-    sines are computed straight into it; a block of several rows gets them
-    copied in from a (K, 2, w) staging block.  Rows with sigma 0 draw
-    nothing and come back as +0.0.
+    last pair is dropped when n is odd.  The window is the c =
+    ceil(rows * cols / 2) pairs [p0, p0 + c), and out takes, in row-major
+    order, their c cosines followed by their sines: values [p0, p0 + c)
+    of the draw, then those of [m + p0, m + p0 + c) below n.  The whole
+    draw is the window [0, m).
+
+    The pairs are made in chunks of _CHUNK: each member fills its row of
+    one (K, 2, w) uniform block, with one ``random`` call when the window is
+    the whole draw in one chunk and otherwise one for its radii and one for
+    its angles, positioned by ``_generator``'s skip.  The transform then
+    runs once over the block.  When out holds each member's values as one
+    run (rows == 1), the chunk's cosines and sines are computed straight
+    into it; a block of several rows gets them copied in from a (K, 2, w)
+    staging block.  Rows with sigma 0 draw nothing and come back as +0.0.
     """
     k, rows, cols = out.shape
-    n = rows * cols
+    size = rows * cols
+    n = size if n is None else n
     m = (n + 1) // 2
-    w = min(m, _CHUNK)
+    c = (size + 1) // 2
+    w = min(c, _CHUNK)
     u = np.empty((k, 2, w))
     z = np.empty((k, 2, w)) if rows > 1 else None
     scale = sigmas[0] if k == 1 else np.asarray(sigmas, dtype=np.float64)[:, None]
-    for p in range(0, m, _CHUNK):
-        if p + w > m:  # the last, shorter chunk
-            w = m - p
+    for j in range(0, c, _CHUNK):
+        p = p0 + j
+        if j + w > c:  # the last, shorter chunk
+            w = c - j
             u = u[:, :, :w]
         for i, (state, sigma) in enumerate(zip(states, sigmas)):
             if sigma == 0.0:
@@ -226,7 +244,7 @@ def _box_muller(states, sigmas, out) -> None:
         theta *= _TWO_PI
         ws = min(w, n - m - p)  # sines kept: the last pair's goes when n is odd
         if z is None:
-            zc, zs = out[:, 0, p : p + w], out[:, 0, m + p : m + p + ws]
+            zc, zs = out[:, 0, j : j + w], out[:, 0, c + j : c + j + ws]
         else:
             zc, zs = z[:, 0, :w], z[:, 1, :ws]
         np.cos(theta, out=zc)
@@ -236,8 +254,8 @@ def _box_muller(states, sigmas, out) -> None:
         zc *= scale
         zs *= scale
         if z is not None:
-            _copy_into(out, p, zc)
-            _copy_into(out, m + p, zs)
+            _copy_into(out, j, zc)
+            _copy_into(out, c + j, zs)
     zero = [i for i, s in enumerate(sigmas) if s == 0.0]
     if zero:
         out[zero] = 0.0
@@ -259,10 +277,12 @@ def _copy_into(out, start: int, values) -> None:
         values, row, col = values[:, h:], row + dest.shape[1], 0
 
 
-def _normal_into(states, out, sigmas) -> list[RngState]:
+def _normal_into(states, out, sigmas, n=None, p0=0) -> list[RngState]:
     """Fill out (K, rows, cols), which may be a strided view, with row k
     equal to ``normal(states[k], rows * cols, sigmas[k])[0]`` in row-major
-    order, bit for bit; returns the successors."""
+    order, bit for bit; returns the successors.  Given n and p0, out takes
+    instead the pair window of ``normal(states[k], n, sigmas[k])[0]`` that
+    starts at pair p0, as ``_box_muller`` lays it out."""
     if len(sigmas) != len(states):
         raise ValidationError(f"need one sigma per state, got {len(sigmas)} for {len(states)}")
     for sigma in sigmas:
@@ -270,7 +290,7 @@ def _normal_into(states, out, sigmas) -> list[RngState]:
     if out.size == 0 or not any(sigmas):
         out[...] = 0.0
     else:
-        _box_muller(states, sigmas, out)
+        _box_muller(states, sigmas, out, n, p0)
     return [s.next() for s in states]
 
 

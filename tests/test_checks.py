@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +171,51 @@ class TestMainChecks:
         c = ck.check_isotropic_trace_identity(seed=7, n_pairs=20, mc_per_pair=500)
         d = ck.check_isotropic_trace_identity(seed=7, n_pairs=20, mc_per_pair=500)
         assert c.measured == d.measured
+
+
+class TestBulkChecks:
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_stein_and_encoding_need_two_draws(self, n):
+        with pytest.raises(ValidationError):
+            ck.check_stein_identity(n=n)
+        with pytest.raises(ValidationError):
+            ck.check_encoding_necessity(n=n)
+
+    def test_suppression_cost_needs_a_draw(self):
+        with pytest.raises(ValidationError):
+            ck.check_suppression_cost_exact(n=0)
+
+    def test_smallest_counts_give_finite_reports(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = [
+                ck.check_stein_identity(n=2),
+                ck.check_encoding_necessity(n=2),
+                ck.check_suppression_cost_exact(n=1),
+            ]
+        for r in reports:
+            assert np.isfinite(list(r.measured.values()) + list(r.se.values())).all()
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda n: ck.check_encoding_necessity(n=n),
+            lambda n: ck.check_suppression_cost_exact(n=n, rhos=(0.5,)),
+        ],
+        ids=["encoding_necessity", "suppression_cost_exact"],
+    )
+    def test_memory_is_a_few_vectors_and_one_block(self, run):
+        # The rows come in blocks: a check holds its per-row statistic and
+        # one block, not the n-row sample (16 or 8 doubles a row).
+        n = 200_000
+        run(100)  # one-time allocations
+        tracemalloc.start()
+        try:
+            run(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * n + 2 * 2**20
 
 
 class TestRegistry:

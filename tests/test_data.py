@@ -1,12 +1,13 @@
+import collections
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isogeo import rng
+from isogeo import data, rng
 from isogeo.data import (
     DiscreteNuisanceToy,
     GaussianNuisanceModel,
@@ -15,6 +16,7 @@ from isogeo.data import (
     discrete_nuisance_toy,
     model_batch_source,
     sample,
+    sample_blocks,
     sample_stack,
     signal_only_predictor,
     threshold_labels,
@@ -165,6 +167,10 @@ STREAMS = st.lists(
     weights_seed=st.integers(0, 1000),
     chunk=st.sampled_from([None, 2, 5, 8]),
 )
+@example(
+    streams=[(1, 0), (2, 7), (2**64 - 1, 3)], n=40, d_s=3, d_n=5,
+    sigma_eps=0.1, weights_seed=1, chunk=5,
+)
 def test_sample_stack_equals_per_member_samples(
     streams, n, d_s, d_n, sigma_eps, weights_seed, chunk
 ):
@@ -187,6 +193,78 @@ def test_sample_stack_equals_per_member_samples(
         batch, after = solos[k]
         assert batch.x.tobytes() == want_x.tobytes() and batch.y.tobytes() == want_y.tobytes()
         assert after == want_next
+
+
+def _general_model(d_s, d_n, seed):
+    """Unit weights with no zero entry, so the products round as in use."""
+    g = np.random.default_rng(seed)
+    return GaussianNuisanceModel(d_s, d_n, _unit_vector(g, d_s), _unit_vector(g, d_n), 0.7, 0.3)
+
+
+BLOCK = 10
+
+
+@pytest.mark.parametrize("chunk", [5, None])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 65, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 2])
+def test_sample_blocks_reassemble_the_sample(monkeypatch, chunk, n):
+    monkeypatch.setattr(data, "_BLOCK_ROWS", BLOCK)
+    if chunk:
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
+    m = _general_model(3, 5, n)
+    _assert_blocks_reassemble(m, n, BLOCK)
+
+
+def test_sample_blocks_reassemble_the_sample_at_the_real_block():
+    _assert_blocks_reassemble(_general_model(3, 5, 0), 2 * data._BLOCK_ROWS + 2, data._BLOCK_ROWS)
+
+
+def _assert_blocks_reassemble(m, n, block):
+    batch, _ = sample(m, n, RngState(21, 4))
+    x, y = np.full_like(batch.x, np.nan), np.full_like(batch.y, np.nan)
+    seen = np.zeros(n, dtype=int)
+    for rows, xb, yb in sample_blocks(m, n, RngState(21, 4)):
+        assert len(rows) == xb.shape[0] == yb.shape[0] <= (n if n % 2 else block)
+        x[rows], y[rows] = xb, yb
+        seen[rows] += 1
+    assert (seen == 1).all()
+    assert x.tobytes() == batch.x.tobytes() and y.tobytes() == batch.y.tobytes()
+
+
+def test_sample_blocks_rejects_an_empty_sample(model):
+    with pytest.raises(ValidationError):
+        sample_blocks(model, 0, RngState(0))
+
+
+def _drawn_doubles(monkeypatch, draw) -> collections.Counter:
+    """How many times draw() takes each double (seed, counter, index) of
+    the Philox streams, logged at every positioned ``random`` call."""
+    taken = collections.Counter()
+    real = rng._generator
+
+    class Logged:
+        def __init__(self, state, skip=0):
+            self.state, self.skip = state, skip
+
+        def random(self, out):
+            taken.update((self.state.seed, self.state.counter, self.skip + i)
+                         for i in range(out.size))
+            real(self.state, self.skip).random(out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rng, "_generator", Logged)
+        draw()
+    return taken
+
+
+@pytest.mark.parametrize("n", [2, 64, 70])
+def test_streamed_sample_draws_the_doubles_of_the_whole_sample(monkeypatch, n):
+    monkeypatch.setattr(data, "_BLOCK_ROWS", 8)
+    monkeypatch.setattr(rng, "_CHUNK", 5)
+    m = _general_model(3, 5, 2)
+    whole = _drawn_doubles(monkeypatch, lambda: sample(m, n, RngState(9)))
+    streamed = _drawn_doubles(monkeypatch, lambda: list(sample_blocks(m, n, RngState(9))))
+    assert streamed == whole
+    assert set(whole.values()) == {1} and len(whole) == n * (m.d_in + 1)
 
 
 def test_sample_memory_is_its_output(model):

@@ -227,6 +227,34 @@ def test_draw_into_strided_column_block_equals_reference(monkeypatch, chunk, row
     assert np.isnan(wide[:, :, :2]).all() and np.isnan(wide[:, :, 5:]).all()
 
 
+N_ODD = 45  # m = 23 pairs; the last pair has no sine
+
+
+@pytest.mark.parametrize("chunk", [4, 5, None])
+@pytest.mark.parametrize(
+    "p0, shape",
+    [(0, (3, 4)), (9, (1, 12)), (9, (2, 6)), (17, (1, 11)), (22, (1, 1)), (0, (5, 9))],
+)
+def test_pair_window_is_its_part_of_the_whole_draw(monkeypatch, chunk, p0, shape):
+    # A window of c pairs starting at pair p0 holds values [p0, p0 + c) of
+    # the whole draw, then values [m + p0, m + p0 + c) that exist: the
+    # window that ends at the last pair has one sine fewer.  (0, (5, 9)) is
+    # the whole draw.
+    if chunk:
+        monkeypatch.setattr(rng, "_CHUNK", chunk)
+    m = (N_ODD + 1) // 2
+    c = (math.prod(shape) + 1) // 2
+    wide = np.full((len(CHUNK_STATES), shape[0], shape[1] + 2), np.nan)
+    block = wide[:, :, 1:-1]
+    successors = _normal_into(CHUNK_STATES, block, CHUNK_SIGMAS, N_ODD, p0)
+    for k, (state, sigma) in enumerate(zip(CHUNK_STATES, CHUNK_SIGMAS)):
+        whole, want_next = _reference_normal(state, N_ODD, sigma)
+        want = np.concatenate([whole[p0 : p0 + c], whole[m + p0 : m + p0 + c]])
+        assert np.ascontiguousarray(block[k]).tobytes() == want.tobytes()
+        assert successors[k] == want_next
+    assert np.isnan(wide[:, :, 0]).all() and np.isnan(wide[:, :, -1]).all()
+
+
 def test_zero_sigma_member_draws_positive_zeros():
     states = [RngState(3), RngState(4), RngState(5)]
     z, _ = normal_stack(states, (4, 5), [1.0, 0.0, 0.5])
