@@ -18,7 +18,7 @@ and test the predicted ordering across seeds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -72,16 +72,7 @@ class CheckReport:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "passed": bool(self.passed),
-            "measured": self.measured,
-            "bounds": self.bounds,
-            "se": self.se,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "detail": self.detail,
-        }
+        return {**asdict(self), "passed": bool(self.passed)}
 
 
 def write_reports(reports: list[CheckReport], path: str) -> None:

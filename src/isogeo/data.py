@@ -70,11 +70,9 @@ class GaussianNuisanceModel:
         cls, d_s: int, d_n: int, rho: float, sigma_eps: float
     ) -> "GaussianNuisanceModel":
         """Model with deterministic weight directions (first basis vector of
-        each block), which keeps the analytic checks exact."""
-        w_s = np.zeros(d_s)
-        w_s[0] = 1.0
-        w_n = np.zeros(d_n)
-        w_n[0] = 1.0
+        each block), which keeps the analytic checks exact.  A block size
+        below 1 gives an empty vector, and the constructor rejects the size."""
+        w_s, w_n = ((np.arange(d) == 0).astype(np.float64) for d in (d_s, d_n))
         return cls(d_s, d_n, w_s, w_n, rho, sigma_eps)
 
     @property
@@ -129,12 +127,12 @@ def _fill_rows(model: GaussianNuisanceModel, states, n: int, a: int, x, y) -> li
     ``sample_stack(model, n, states)`` and return the successor states:
     all rows for a = 0 and r = n, and for even n and h = n / 2 rows
     [a, a + r / 2) then [h + a, h + a + r / 2).  In a draw that fills n
-    rows a pair's cosine and sine sit h rows apart (see rng._box_muller),
-    so these rows are the window of each of the s, n and eps draws' pairs
-    that starts at row a.  s and n are drawn straight into their column
-    blocks of x.  y is summed in place as s @ w_s + rho * (n @ w_n)
-    + eps, in that order, and eps is drawn into the (K, r) array that held
-    the nuisance term."""
+    rows a pair's cosine and sine sit h rows apart (see the rng module), so
+    these rows are the window of each of the s, n and eps draws' pairs that
+    starts at row a.  s and n are drawn straight into their column blocks
+    of x; for odd n and more than one column, each is made in one pass.  y
+    is summed in place as s @ w_s + rho * (n @ w_n) + eps, in that order,
+    and eps is drawn into the (K, r) array that held the nuisance term."""
     k = len(states)
     s, nn = x[..., : model.d_s], x[..., model.d_s :]
     states = _normal_into(states, s, (1.0,) * k, n * model.d_s, a * model.d_s)
@@ -143,7 +141,7 @@ def _fill_rows(model: GaussianNuisanceModel, states, n: int, a: int, x, y) -> li
     scratch = nn @ model.w_n
     scratch *= model.rho
     y += scratch
-    states = _normal_into(states, scratch[:, None, :], (model.sigma_eps,) * k, n, a)
+    states = _normal_into(states, scratch[:, :, None], (model.sigma_eps,) * k, n, a)
     y += scratch
     return states
 
@@ -155,7 +153,8 @@ def sample_stack(
     successor states.  Member k's rows are ``sample(model, n, states[k])``,
     bit for bit: its s, n and eps blocks are three draws from its own
     stream, made for all members at once (see _fill_rows).  Beyond x and y
-    a call holds one (K, n) array and the draws' chunk blocks."""
+    a call holds one (K, n) array and one window of a draw at a time; for
+    odd n, the s and n blocks are each staged whole (see rng._normal_into)."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     x = np.empty((len(states), n, model.d_in))

@@ -94,6 +94,7 @@ class ExperimentConfig:
         try:
             RngState(self.seed)  # a seed outside [0, 2**64) names no stream
             self.model()  # the data model checks d_s, d_n, rho and sigma_eps
+            self.net_spec()  # every layer width >= 1
             base = self.train_config("pmh", self.seed)  # lr, lam, cap, sigma_train, pgd
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
@@ -462,6 +463,8 @@ def run_compare(config: ExperimentConfig) -> ResultTable:
     """One row per training method, diagnostics on identical eval batches."""
     cols = ["tdi_at_0", *[f"tdi@{s:g}" for s in config.sigma_eval],
             "jac_fro_sq", "lipschitz", "task_metric", "final_task_loss"]
+    if not config.methods:
+        raise ConfigError("compare needs at least one method")
     table = ResultTable("compare", list(config.methods), cols, seed=config.seed)
     cells = [[(m, config.seed)] for m in config.methods]
     for method, metrics in zip(config.methods, _run_cells(_compare_cells, config, cells)):
@@ -655,6 +658,8 @@ def _capsweep_cells(config: ExperimentConfig, cells: list) -> list[dict]:
 
 def run_capsweep(config: ExperimentConfig) -> ResultTable:
     """Steady-state penalty fraction, final task loss, and TDI per cap."""
+    if not config.cap_grid:
+        raise ConfigError("capsweep needs a nonempty cap grid")
     cols = ["fraction", "target", "final_task_loss", "tdi_at_0"]
     row_keys = [f"cap@{c:g}" for c in config.cap_grid]
     table = ResultTable("capsweep", row_keys, cols, seed=config.seed)
@@ -672,6 +677,8 @@ def run_multiscale(config: ExperimentConfig) -> ResultTable:
     log-uniform draw per step over config.sigma_range; columns are TDI at
     the eval grid.
     """
+    if not config.sigma_eval:
+        raise ConfigError("multiscale needs a nonempty sigma_eval grid")
     grid_t = list(config.sigma_train_grid)
     rows = [f"train@{s:g}" for s in grid_t] + ["multiscale"]
     cols = [f"eval@{s:g}" for s in config.sigma_eval]

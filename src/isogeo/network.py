@@ -70,6 +70,13 @@ class NetSpec:
     out_dim: int = 1
     activation: str = "tanh"
 
+    def __post_init__(self):
+        widths = [("input_dim", self.input_dim), *(("hidden width", h) for h in self.hidden),
+                  ("rep_dim", self.rep_dim), ("out_dim", self.out_dim)]
+        for name, width in widths:
+            if width < 1:
+                raise ValidationError(f"{name} must be >= 1, got {width}")
+
     def encoder_dims(self) -> list[int]:
         return [self.input_dim, *self.hidden, self.rep_dim]
 
@@ -142,18 +149,15 @@ def stack_networks(nets: list) -> MlpEncoderDecoder:
 
 def init_network(spec: NetSpec, rng: RngState) -> tuple[MlpEncoderDecoder, RngState]:
     """Per-layer uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
-    dims = spec.encoder_dims()
-    encoder = []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
+    dims = [*spec.encoder_dims(), spec.out_dim]
+    layers = []
+    for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
         bound = 1.0 / np.sqrt(d_in)
         u, rng = uniform(rng, (d_out, d_in + 1))
         w = (2.0 * u - 1.0) * bound
-        encoder.append(Layer(w[:, :d_in], w[:, d_in], spec.activation))
-    bound = 1.0 / np.sqrt(spec.rep_dim)
-    u, rng = uniform(rng, (spec.out_dim, spec.rep_dim + 1))
-    w = (2.0 * u - 1.0) * bound
-    decoder = Layer(w[:, : spec.rep_dim], w[:, spec.rep_dim], "identity")
-    return MlpEncoderDecoder(encoder, decoder), rng
+        activation = spec.activation if i < len(dims) - 2 else "identity"  # the decoder
+        layers.append(Layer(w[:, :d_in], w[:, d_in], activation))
+    return MlpEncoderDecoder(layers[:-1], layers[-1]), rng
 
 
 def _act_deriv_from_output(z: np.ndarray, activation: str) -> np.ndarray:

@@ -10,34 +10,30 @@ function of the request).
 
 :func:`normal_stack` draws for K streams at once, as a stack of nets needs:
 each member's uniforms come from its own Philox key and counter, and one
-Box-Muller pass transforms the whole (K, 2, m) block.  :func:`normal` is its
-K = 1 case.  A member's values equal its solo draw bit for bit, on the
-assumption that numpy's elementwise ``log``, ``sqrt``, ``sin`` and ``cos``
-give the same bits for an element whatever the length of the array around
-it (the pinned digests and the stack tests check this).
+Box-Muller pass transforms a (K, 2, w) block of w pairs for all members.
+:func:`normal` is its K = 1 case.  A member's values equal its solo draw bit
+for bit, on the assumption that numpy's elementwise ``log``, ``sqrt``, ``sin``
+and ``cos`` give the same bits for an element whatever the length of the
+array around it (the pinned digests and the stack tests check this).
 
 Philox is counter-based, so any stretch of a call's stream can be drawn on
 its own: ``_generator(state, skip)`` positions the stream ``skip`` doubles
-into the call's block.  That lets Box-Muller run over a large draw in chunks
-of ``_CHUNK`` pairs per member, each chunk drawing only its own uniforms and
-putting its values into the caller's output, with the same bits as one pass
-over the whole draw.  A draw's memory is then its output plus one
-(K, 2, _CHUNK) uniform block, and a second one that stages the values when
-the output is a block of rows inside a wider array.  The chunk size is a
-fixed private constant, not an option: the values never depend on it, so it
-only trades the size of those blocks for per-chunk call overhead, and one
-fixed value keeps every draw's footprint the same on every machine.  A draw
-that fits in one chunk makes one ``random`` call per member and one pass, as
-it would without chunks.
-
-The same positioning lets a caller draw only a window of a draw's pairs:
-``_normal_into(states, out, sigmas, n, p0)`` fills out with the cosines and
-then the sines of pairs [p0, p0 + c) of a draw of n values, the values p0 ..
-p0 + c - 1 and m + p0 .. m + p0 + c - 1 for m = ceil(n / 2).  When a draw
-fills an even number 2h of rows, a pair's cosine and sine sit h rows apart,
-which is how ``data.sample_blocks`` makes a sample a block of rows at a
-time without drawing any uniform twice.  The whole draw is the window
-[0, m), so there is one Box-Muller transform for both.
+into the call's block.  A draw of n values takes m = ceil(n / 2) Box-Muller
+pairs, and pair p gives value p (its cosine) and value m + p (its sine).  So
+when a draw fills an even number 2h of rows, or one column of 2h or 2h - 1
+rows, a pair's cosine and sine sit h rows apart: rows [a, b) and
+[h + a, h + b) are the values of a window of pairs, which can be made on its
+own, bit for bit as in one pass over the whole draw.  ``_normal_into`` places
+every draw this way, a window of at most ``_CHUNK`` pairs per member at a
+time, so a draw's memory is its output plus one (K, 2, _CHUNK) uniform block
+and half a block more.  The window size is a fixed private constant, not an
+option: the values never depend on it, so it only trades the size of that
+block for per-window call overhead, and one fixed value keeps every draw's
+footprint the same on every machine.  A draw that fits in one window makes one
+``random`` call per member.  The one layout without partner rows, an odd
+number of rows of several columns, is made in one block of all its pairs and
+copied in.  ``data.sample_blocks`` uses the same fact to make a sample a block
+of rows at a time without drawing any uniform twice.
 """
 
 from __future__ import annotations
@@ -177,120 +173,91 @@ def uniform(state: RngState, shape) -> tuple[np.ndarray, RngState]:
     return g.random(shape), state.next()
 
 
-def _check_sigma(sigma) -> None:
-    if not 0.0 <= sigma < math.inf:  # NaN fails both comparisons
-        raise ValidationError(f"sigma must be finite and >= 0, got {sigma}")
-
-
-# Box-Muller pairs per member in one chunk of a draw.  A draw's temporaries
-# are at most two (K, 2, _CHUNK) float64 blocks, 256 KiB per member, which
-# stay in a 2 MiB L2 cache.  On a 2-vCPU Xeon, chunks of 2**13 to 2**16 pairs
+# Box-Muller pairs per member in one window of a draw.  A draw's temporaries
+# are one (K, 2, _CHUNK) float64 block, 128 KiB per member, and half a block
+# more for the cosines.  On a 2-vCPU Xeon, windows of 2**13 to 2**16 pairs
 # drew normal((4096, 16)) and 200,000-row samples within run-to-run noise of
-# one another and no slower than the unchunked draw.
+# one another and of one window over the whole draw.
 _CHUNK = 1 << 13
 
 
-def _box_muller(states, sigmas, out, n=None, p0=0) -> None:
-    """Fill out (K, rows, cols) with a window of pairs of member k's draw
-    of n N(0, sigma_k^2) values from states[k]; n defaults to rows * cols,
-    the whole draw.  out may be a strided view, such as a column block of a
-    wider array.
+def _box_muller(states, sigmas, n, p, w) -> np.ndarray:
+    """Pairs [p, p + w) of member k's draw of n N(0, sigma_k^2) values from
+    states[k], as a (K, 2, w) block: cosines in row 0, sines in row 1.
 
-    The draw's values take m = ceil(n / 2) pairs.  Pair p takes radius
-    uniform p and angle uniform m + p of the member's Philox stream and gives
-    value p (r cos(theta)) and value m + p (r sin(theta)); the sine of the
-    last pair is dropped when n is odd.  The window is the c =
-    ceil(rows * cols / 2) pairs [p0, p0 + c), and out takes, in row-major
-    order, their c cosines followed by their sines: values [p0, p0 + c)
-    of the draw, then those of [m + p0, m + p0 + c) below n.  The whole
-    draw is the window [0, m).
-
-    The pairs are made in chunks of _CHUNK: each member fills its row of
-    one (K, 2, w) uniform block, with one ``random`` call when the window is
-    the whole draw in one chunk and otherwise one for its radii and one for
-    its angles, positioned by ``_generator``'s skip.  The transform then
-    runs once over the block.  When out holds each member's values as one
-    run (rows == 1), the chunk's cosines and sines are computed straight
-    into it; a block of several rows gets them copied in from a (K, 2, w)
-    staging block.  Rows with sigma 0 draw nothing and come back as +0.0.
-    """
-    k, rows, cols = out.shape
-    size = rows * cols
-    n = size if n is None else n
+    The draw takes m = ceil(n / 2) pairs.  Pair p takes radius uniform p and
+    angle uniform m + p of the member's stream and gives value p,
+    r cos(theta) sigma, and value m + p, r sin(theta) sigma (none when that
+    is n).  A member fills its row of the block with one ``random`` call
+    when the window is the whole draw, else one for its radii and one for
+    its angles.  A member with sigma 0 draws nothing and gets finite
+    values, not zeros."""
     m = (n + 1) // 2
-    c = (size + 1) // 2
-    w = min(c, _CHUNK)
-    u = np.empty((k, 2, w))
-    z = np.empty((k, 2, w)) if rows > 1 else None
-    scale = sigmas[0] if k == 1 else np.asarray(sigmas, dtype=np.float64)[:, None]
-    for j in range(0, c, _CHUNK):
-        p = p0 + j
-        if j + w > c:  # the last, shorter chunk
-            w = c - j
-            u = u[:, :, :w]
-        for i, (state, sigma) in enumerate(zip(states, sigmas)):
-            if sigma == 0.0:
-                u[i] = 0.5  # any value log() keeps finite; the row is zeroed below
-            elif w == m:
-                _generator(state).random(out=u[i])
-            else:
-                _generator(state, p).random(out=u[i, 0])
-                _generator(state, m + p).random(out=u[i, 1])
-        r, theta = u[:, 0], u[:, 1]
-        np.subtract(1.0, r, out=r)  # (0, 1]: keeps log() finite
-        np.log(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        theta *= _TWO_PI
-        ws = min(w, n - m - p)  # sines kept: the last pair's goes when n is odd
-        if z is None:
-            zc, zs = out[:, 0, j : j + w], out[:, 0, c + j : c + j + ws]
+    u = np.empty((len(states), 2, w))
+    for i, (state, sigma) in enumerate(zip(states, sigmas)):
+        if sigma == 0.0:
+            u[i] = 0.5  # any value log() keeps finite
+        elif w == m:
+            _generator(state).random(out=u[i])
         else:
-            zc, zs = z[:, 0, :w], z[:, 1, :ws]
-        np.cos(theta, out=zc)
-        np.sin(theta[:, :ws], out=zs)
-        zc *= r
-        zs *= r[:, :ws]
-        zc *= scale
-        zs *= scale
-        if z is not None:
-            _copy_into(out, j, zc)
-            _copy_into(out, c + j, zs)
-    zero = [i for i, s in enumerate(sigmas) if s == 0.0]
-    if zero:
-        out[zero] = 0.0
-
-
-def _copy_into(out, start: int, values) -> None:
-    """Copy values (K, L) to flat positions [start, start + L) of each
-    member's row-major (rows, cols) block of out (K, rows, cols), part of a
-    row or a run of whole rows at a time."""
-    cols = out.shape[2]
-    row, col = divmod(start, cols)
-    while values.shape[1]:
-        if col or values.shape[1] < cols:
-            dest = out[:, row : row + 1, col : col + values.shape[1]]
-        else:
-            dest = out[:, row : row + values.shape[1] // cols]
-        h = dest.shape[1] * dest.shape[2]
-        dest[...] = values[:, :h].reshape(dest.shape)
-        values, row, col = values[:, h:], row + dest.shape[1], 0
+            _generator(state, p).random(out=u[i, 0])
+            _generator(state, m + p).random(out=u[i, 1])
+    r, theta = u[:, 0], u[:, 1]
+    np.subtract(1.0, r, out=r)  # (0, 1]: keeps log() finite
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= _TWO_PI
+    cos = np.cos(theta)
+    np.sin(theta, out=theta)
+    scale = sigmas[0] if len(sigmas) == 1 else np.asarray(sigmas, dtype=np.float64)[:, None]
+    theta *= r
+    theta *= scale
+    r *= cos  # the same bits as cos * r
+    r *= scale
+    return u
 
 
 def _normal_into(states, out, sigmas, n=None, p0=0) -> list[RngState]:
     """Fill out (K, rows, cols), which may be a strided view, with row k
     equal to ``normal(states[k], rows * cols, sigmas[k])[0]`` in row-major
     order, bit for bit; returns the successors.  Given n and p0, out takes
-    instead the pair window of ``normal(states[k], n, sigmas[k])[0]`` that
-    starts at pair p0, as ``_box_muller`` lays it out."""
+    instead the c = ceil(rows * cols / 2) pairs of ``normal(states[k], n,
+    sigmas[k])[0]`` from pair p0: values [p0, p0 + c), then those of
+    [m + p0, m + p0 + c) below n.
+
+    When the cosines fill whole rows (rows even, or one column), cosine row
+    a and sine row h + a come from the same pairs, h = c / cols; windows of
+    whole rows, at most _CHUNK pairs or one row, are made one at a time and
+    assigned to both.  Otherwise one block of all c pairs is made and
+    copied in.  Rows with sigma 0 come back as +0.0."""
     if len(sigmas) != len(states):
         raise ValidationError(f"need one sigma per state, got {len(sigmas)} for {len(states)}")
     for sigma in sigmas:
-        _check_sigma(sigma)
-    if out.size == 0 or not any(sigmas):
+        if not 0.0 <= sigma < math.inf:  # NaN fails both comparisons
+            raise ValidationError(f"sigma must be finite and >= 0, got {sigma}")
+    k, rows, cols = out.shape
+    size = rows * cols
+    n = size if n is None else n
+    c = (size + 1) // 2
+    if size == 0 or not any(sigmas):
         out[...] = 0.0
+    elif c % cols:  # the cosines end mid-row
+        z = _box_muller(states, sigmas, n, p0, c).reshape(k, 2 * c)
+        out[...] = z[:, :size].reshape(out.shape)
     else:
-        _box_muller(states, sigmas, out, n, p0)
+        h = c // cols
+        step = max(1, _CHUNK // cols)
+        for a in range(0, h, step):
+            b = min(a + step, h)
+            z = _box_muller(states, sigmas, n, p0 + a * cols, (b - a) * cols)
+            out[:, a:b] = z[:, 0].reshape(k, b - a, cols)
+            sines = out[:, h + a : h + b]  # one row short at the end of an odd column
+            sines[...] = z[:, 1, : sines.shape[1] * cols].reshape(sines.shape)
+            del z  # before the next window's block is made
+    zero = [i for i, s in enumerate(sigmas) if s == 0.0]
+    if zero:
+        out[zero] = 0.0
     return [s.next() for s in states]
 
 
@@ -300,7 +267,7 @@ def normal_stack(states, shape, sigmas) -> tuple[np.ndarray, list[RngState]]:
     (values, successors)."""
     shape = _shape(shape)
     z = np.empty((len(states),) + shape)
-    return z, _normal_into(states, z.reshape(len(states), 1, math.prod(shape)), sigmas)
+    return z, _normal_into(states, z.reshape(len(states), math.prod(shape), 1), sigmas)
 
 
 def normal(state: RngState, shape, sigma: float = 1.0) -> tuple[np.ndarray, RngState]:
@@ -311,7 +278,7 @@ def normal(state: RngState, shape, sigma: float = 1.0) -> tuple[np.ndarray, RngS
     A sigma that is negative, infinite or NaN raises ValidationError.
     """
     z = np.empty(_shape(shape))
-    (nxt,) = _normal_into((state,), z.reshape(1, 1, z.size), (sigma,))
+    (nxt,) = _normal_into((state,), z.reshape(1, z.size, 1), (sigma,))
     return z, nxt
 
 

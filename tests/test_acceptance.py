@@ -58,6 +58,7 @@ def test_criterion_02_isotropic_trace_identity():
             ok, time.time() - t0, 30.0)
 
 
+@pytest.mark.slow
 def test_criterion_03_cap_fixed_point_full_sweep():
     t0 = time.time()
     caps = (0.10, 0.15, 0.25, 0.30, 0.40, 0.60)
@@ -124,6 +125,7 @@ def test_criterion_07_anisotropy_floor():
             ok, time.time() - t0, 10.0)
 
 
+@pytest.mark.slow
 def test_criterion_08_adversarial_geometry_signature():
     t0 = time.time()
     r = ck.check_adversarial_geometry_signature(seed=0, n_seeds=5)
@@ -141,6 +143,7 @@ def test_criterion_08_adversarial_geometry_signature():
             ok, elapsed, 1800.0)
 
 
+@pytest.mark.slow
 def test_criterion_09_alignment_grid():
     # The full-grid diagonal (>= 3 of 4 columns) does not reproduce at desk
     # scale: below the tanh knee a binding cap makes the penalty gradient

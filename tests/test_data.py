@@ -268,9 +268,10 @@ def test_streamed_sample_draws_the_doubles_of_the_whole_sample(monkeypatch, n):
 
 
 def test_sample_memory_is_its_output(model):
-    # The rows are drawn into x in chunks: no full-size uniform block,
-    # Box-Muller output or concatenated copy is held beside x and y.  The
-    # first small call makes the one-time allocations (the thread's Philox).
+    # The rows are drawn into x a window of Box-Muller pairs at a time: no
+    # full-size uniform block, Box-Muller output or concatenated copy is
+    # held beside x and y.  The first small call makes the one-time
+    # allocations (the thread's Philox).
     sample(model, 10, RngState(6))
     tracemalloc.start()
     try:

@@ -21,6 +21,7 @@ def test_all_five_demos_found():
     assert len(DEMOS) == 5
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs_clean(demo, tmp_path):
     script = shutil.copy(os.path.join(ROOT, "demos", demo), tmp_path)

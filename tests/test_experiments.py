@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from isogeo import cli
 from isogeo import experiments as xp
 from isogeo.errors import ConfigError
 
@@ -451,6 +452,34 @@ class TestCli:
         assert res.returncode == 2
         assert f"config error: {message}" in res.stderr
         assert "Traceback" not in res.stderr
+        assert not outdir.exists()
+
+    DEGENERATE = [
+        ("compare", "[data]\nd_s = 0", "d_s and d_n must be >= 1"),
+        ("compare", "[data]\nd_n = 0", "d_s and d_n must be >= 1"),
+        ("compare", "[data]\nd_s = -1", "d_s and d_n must be >= 1"),
+        ("compare", "[train]\nhidden = 0", "hidden width must be >= 1, got 0"),
+        ("compare", "[train]\nhidden = 32 0", "hidden width must be >= 1, got 0"),
+        ("compare", "[train]\nrep_dim = 0", "rep_dim must be >= 1, got 0"),
+        ("compare", "[train]\nmethods =", "compare needs at least one method"),
+        ("capsweep", "[train]\ncap_grid =", "capsweep needs a nonempty cap grid"),
+        ("multiscale", "[eval]\nsigma_eval =", "multiscale needs a nonempty sigma_eval grid"),
+    ]
+
+    @pytest.mark.parametrize("kind,lines,message", DEGENERATE)
+    def test_degenerate_input_exit_two_before_training(
+        self, tmp_path, capsys, kind, lines, message
+    ):
+        # An empty dimension, layer or grid is a config error, not a
+        # traceback, a false message or an empty table.
+        cfgf = tmp_path / "c.ini"
+        outdir = tmp_path / "out"
+        cfgf.write_text(
+            f"[experiment]\nkind = {kind}\noutdir = {outdir}\n"
+            f"steps = 20\nseeds_per_cell = 1\neval_rows = 16\nmc_draws = 2\n{lines}\n"
+        )
+        assert cli.main([kind, "--config", str(cfgf)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_diverging_pgd_row_is_listed_as_failed(self, tmp_path):

@@ -35,6 +35,18 @@ def linear_net(w, dec_w=None):
     )
 
 
+@pytest.mark.parametrize(
+    "dims,name",
+    [((0, (6,), 3, 1), "input_dim"), ((4, (6, 0), 3, 1), "hidden width"),
+     ((4, (-2,), 3, 1), "hidden width"), ((4, (6,), 0, 1), "rep_dim"), ((4, (), 3, 0), "out_dim")],
+)
+def test_net_spec_rejects_a_width_below_one(dims, name):
+    # A zero width would reach init_network's 1/sqrt(fan_in) as a division
+    # by zero; the spec names the width instead.
+    with pytest.raises(ValidationError, match=f"{name} must be >= 1"):
+        NetSpec(*dims)
+
+
 class TestForward:
     def test_zero_network(self):
         net = MlpEncoderDecoder(

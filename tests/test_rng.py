@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -253,6 +254,24 @@ def test_pair_window_is_its_part_of_the_whole_draw(monkeypatch, chunk, p0, shape
         assert np.ascontiguousarray(block[k]).tobytes() == want.tobytes()
         assert successors[k] == want_next
     assert np.isnan(wide[:, :, 0]).all() and np.isnan(wide[:, :, -1]).all()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_draw_into_column_block_holds_one_window_and_a_half(k):
+    # A draw into a block of rows inside a wider array makes its pairs a
+    # window at a time: one (K, 2, _CHUNK) uniform block, plus half a block
+    # for the cosines, and no staging block.  The first small call makes
+    # the one-time allocations (the thread's Philox).
+    wide = np.empty((k, 200_000, 16))
+    states, sigmas = CHUNK_STATES[:k], (1.0,) * k
+    _normal_into(states, wide[:, :4, :8], sigmas)
+    tracemalloc.start()
+    try:
+        _normal_into(states, wide[..., :8], sigmas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * k * 2 * rng._CHUNK * 8
 
 
 def test_zero_sigma_member_draws_positive_zeros():
