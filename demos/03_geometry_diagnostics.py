@@ -17,8 +17,7 @@ from isogeo import (
     TrainConfig,
     anisotropy_index,
     diagnose,
-    embedding_drift,
-    jac_frobenius_fd,
+    jac_frobenius,
     lipschitz_track,
     normal,
     tdi,
@@ -45,20 +44,20 @@ rank1 = wrap(np.sqrt(d) * np.outer(np.eye(d)[0], v))  # ||.||_F^2 = d, all in on
 
 print("two encoders with identical Frobenius mass:")
 for name, net in [("isotropic", iso), ("rank-1", rank1)]:
-    fro = jac_frobenius_fd(net, x_eval, 0.01)
+    fro = jac_frobenius(net, x_eval)
     res, _ = tdi(net, x_eval, 0.1, 32, RngState(2))
     a = anisotropy_index(net, x_eval, v)
     print(
-        f"  {name:9s}: jac_fro^2 = {fro.unbiased.value:6.3f}   "
+        f"  {name:9s}: jac_fro^2 = {fro.value:6.3f}   "
         f"tdi@0.1 = {res.value:.5f}   anisotropy vs e_0 = {a:5.2f}"
     )
 print("  (anisotropy 1 = all sensitivity in the probe direction; d = spread evenly)")
 
-print("\ndrift of a linear encoder matches sigma^2 ||W||_F^2:")
+print("\ndrift of a linear encoder (from TDI's noise draws) matches sigma^2 ||W||_F^2:")
 w, _ = normal(RngState(3), (6, d))
 net = wrap(w)
 for sigma in (0.05, 0.1, 0.2):
-    est, _ = embedding_drift(net, x_eval, sigma, 64, RngState(4))
+    est = tdi(net, x_eval, sigma, 64, RngState(4))[0].drift
     print(
         f"  sigma={sigma:4.2f}: drift = {est.value:8.5f} +- {est.se:.5f}   "
         f"exact = {sigma**2 * np.sum(w**2):8.5f}"
@@ -82,7 +81,9 @@ report = diagnose(
 print(f"  tdi@0 (probe sigma {report.tdi_at_0['sigma_probe']}): {report.tdi_at_0['value']:.6f}")
 for s, (val, se) in sorted(report.tdi.items()):
     print(f"  tdi@{s:g}: {val:.6f} +- {se:.6f}")
-print(f"  jac_fro^2 (full sum): {report.jac_fro['unbiased']:.4f}")
+for s, (val, se) in sorted(report.drift.items()):
+    print(f"  drift@{s:g}: {val:.6f} +- {se:.6f}")
+print(f"  jac_fro^2 (exact): {report.jac_fro['value']:.4f} +- {report.jac_fro['se']:.4f}")
 print(f"  sensitivity along the nuisance direction: {report.directional['nuisance'][0]:.4f}")
 print(f"  decoder Lipschitz: {report.lipschitz['value']:.4f}")
 print(f"  (exact spectral norm, per encoder layer: "

@@ -27,8 +27,7 @@ from .diagnostics import (
     anisotropy_index,
     diagnose,
     directional_sensitivity,
-    embedding_drift,
-    jac_frobenius_fd,
+    jac_frobenius,
     linearization_remainder,
     lipschitz_track,
     nuisance_subspace,

@@ -26,12 +26,11 @@ import numpy as np
 from . import data as dt
 from ._atomic import atomic_write
 from .diagnostics import (
-    FD_STEP,
-    directional_sensitivity,
-    jac_frobenius_fd,
+    jac_frobenius,
     jacobian_lipschitz_fd,
     linearization_remainder,
     lipschitz_track,
+    mean_se,
     nuisance_subspace,
     tdi,
 )
@@ -570,13 +569,9 @@ def check_nuisance_sensitivity_floor(
         )
     lip = lipschitz_track(net).value
     jac = batch_encoder_jacobians(net, batch.x[:512])
-    fro2_rows = np.sum(jac**2, axis=(1, 2))
-    fro2 = float(fro2_rows.mean())
-    fro2_se = float(fro2_rows.std(ddof=1) / np.sqrt(fro2_rows.size))
+    fro2, fro2_se, _ = mean_se(np.sum(jac**2, axis=(1, 2)))
     w_n_full = np.concatenate([np.zeros(model.d_s), model.w_n])
-    sens_rows = directional_sensitivity(net, batch.x[:512], w_n_full)
-    sens = float(sens_rows.mean())
-    sens_se = float(sens_rows.std(ddof=1) / np.sqrt(sens_rows.size))
+    sens, sens_se, _ = mean_se(np.linalg.norm(jac @ w_n_full, axis=1))
     opt_gap = float(np.sqrt(max(0.0, mse - optimum)))
     drift_lin = sigma**2 * fro2
     drift_bound = sigma**2 * model.rho**2 / lip**2
@@ -722,12 +717,11 @@ def check_suppression_cost_exact(
 
 
 def _measure(trained, objective: str, seed: int, config: ExperimentConfig) -> tuple[float, float]:
-    """(tdi_at_0, fd_frobenius_sq) of one train_stack result."""
+    """(tdi_at_0, jac_frobenius_sq) of one train_stack result."""
     net, _ = _trained(trained)
     eval_batch, _ = dt.sample(config.model(), config.eval_rows, derive(seed, "eval", objective))
     res, _ = tdi(net, eval_batch.x, 0.0, config.mc_draws, derive(seed, "tdi", objective))
-    fro = jac_frobenius_fd(net, eval_batch.x[:256], FD_STEP)
-    return res.value, fro.unbiased.value
+    return res.value, jac_frobenius(net, eval_batch.x[:256]).value
 
 
 def check_adversarial_geometry_signature(
@@ -738,7 +732,7 @@ def check_adversarial_geometry_signature(
     """Adversarial training's qualitative geometry signature across seeds.
 
     Per seed, ERM / PGD / PMH nets share architecture, data stream, and
-    training length.  The prediction: PGD attains a smaller finite-difference
+    training length.  The prediction: PGD attains a smaller exact
     Jacobian Frobenius norm than ERM while its clean-input TDI is not below
     ERM's; and PMH's TDI does not exceed ERM's.  Each half must hold on a
     majority (>= 3 of 5) of seeds; single-seed training noise is expected.

@@ -8,7 +8,8 @@
     isogeo diagnose --model FILE --sigma-grid S [S ...] [--batch N] [--seed N]
 
 Exit codes: 0 success, 1 at least one verification check failed,
-2 configuration error.  ISOGEO_THREADS caps the experiment worker count.
+2 configuration error (an unwritable output path included, which is found
+before any work).  ISOGEO_THREADS caps the experiment worker count.
 """
 
 from __future__ import annotations
@@ -26,10 +27,25 @@ from .network import load_params
 from .rng import derive, normal
 
 
+def _check_output(path: str, make_dirs: bool = False) -> None:
+    """Refuse an output file before any work: a directory in its place, or a
+    parent that is missing (unless the writer makes it, ``make_dirs``) or is
+    not a directory."""
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path!r} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    while make_dirs and not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write {path!r}: {parent!r} is missing or not a directory")
+
+
 def _cmd_verify(args) -> int:
     names = None
     if args.checks:
         names = [tok.strip() for tok in args.checks.split(",") if tok.strip()]
+    if args.out:
+        _check_output(args.out)
     reports = ck.run_checks(names, seed=args.seed)
     width = max(len(r.check_id) for r in reports)
     failed = 0
@@ -50,6 +66,8 @@ def _cmd_experiment(args) -> int:
         raise ConfigError(
             f"config kind {config.kind!r} does not match subcommand {args.kind!r}"
         )
+    for ext in (".csv", ".json"):
+        _check_output(os.path.join(config.outdir, config.kind + ext), make_dirs=True)
     table = xp.run_experiment(config)
     paths = xp.emit(table, config.outdir)
     for p in paths:
@@ -66,20 +84,19 @@ def _cmd_diagnose(args) -> int:
         raise ConfigError(f"--sigma-grid values must be finite and > 0, got {grid}")
     if args.batch < 1:
         raise ConfigError(f"--batch must be >= 1, got {args.batch}")
+    run_id = os.path.splitext(os.path.basename(args.model))[0]
+    out_json = args.out or (run_id + "_diagnostics.json")
+    out_csv = os.path.splitext(out_json)[0] + ".csv"
+    for path in (out_json, out_csv):
+        _check_output(path)
     x_eval, _ = normal(derive(args.seed, "diagnose-batch"), (args.batch, net.input_dim))
     report = diagnose(
-        net,
-        x_eval,
-        grid,
-        derive(args.seed, "diagnose"),
-        mc_draws=args.mc_draws,
-        run_id=os.path.splitext(os.path.basename(args.model))[0],
+        net, x_eval, grid, derive(args.seed, "diagnose"), mc_draws=args.mc_draws, run_id=run_id
     )
-    out_json = args.out or (report.run_id + "_diagnostics.json")
     report.to_json(out_json)
-    report.to_csv(os.path.splitext(out_json)[0] + ".csv")
+    report.to_csv(out_csv)
     print(f"wrote {out_json}")
-    print(f"wrote {os.path.splitext(out_json)[0] + '.csv'}")
+    print(f"wrote {out_csv}")
     return 0
 
 

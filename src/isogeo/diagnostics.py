@@ -12,13 +12,15 @@ Gaussian input noise,
 
 with delta ~ N(0, sigma^2 I).  The sigma -> 0 limit is probed at sigma=0.01,
 well below any training perturbation; the result records the probe scale
-actually used.  Denominators always use clean inputs.
+actually used.  Denominators always use clean inputs.  The same draws give
+the embedding drift, the unnormalized final-layer displacement.  Jacobian
+reductions are exact, from forward-mode tangents (network.tangent_sq_norms).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,11 +33,11 @@ from .network import (
     batch_encoder_jacobians,
     encoder_forward,
     input_gradient,
+    tangent_sq_norms,
 )
 from .rng import RngState, choice_without_replacement, normal
 
 TDI_ZERO_PROBE = 0.01  # probe scale standing in for the sigma -> 0 limit
-FD_STEP = 0.01  # coordinate step of the finite-difference Frobenius estimate
 DEGENERATE_LAYER_TOL = 1e-12
 
 
@@ -47,7 +49,8 @@ class Estimate(NamedTuple):
     n: int
 
 
-def _mean_se(samples: np.ndarray) -> Estimate:
+def mean_se(samples: np.ndarray) -> Estimate:
+    """Mean of the samples with its standard error (NaN for one sample)."""
     m = int(samples.size)
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(m)) if m > 1 else float("nan")
@@ -61,6 +64,7 @@ class TdiResult:
     sigma_probe: float
     sigma_requested: float
     mc_draws: int
+    drift: Estimate  # E||phi(x+delta) - phi(x)||^2, final layer, same draws
 
     @property
     def probed_at_zero(self) -> bool:
@@ -74,12 +78,16 @@ def tdi(
     mc_draws: int,
     rng: RngState,
 ) -> tuple[TdiResult, RngState]:
-    """Trajectory deviation index over an evaluation batch.
+    """Trajectory deviation index over an evaluation batch, and the
+    embedding drift from the same draws.
 
     The standard error is computed across independent noise draws
     (conditional on the evaluation batch).  A layer whose clean second
     moment falls below DEGENERATE_LAYER_TOL raises
     DegenerateDirectionError, since the normalization is undefined there.
+    The drift is the final layer's unnormalized mean squared displacement
+    at the probe scale; for a linear encoder W it equals
+    sigma^2 ||W||_F^2 in expectation.
     """
     if mc_draws < 1:
         raise ValidationError("mc_draws must be >= 1")
@@ -95,15 +103,14 @@ def tdi(
             f"layer {bad + 1} has vanishing representation magnitude; TDI undefined"
         )
     per_draw = np.zeros(mc_draws)
+    drift = np.zeros(mc_draws)
     for j in range(mc_draws):
         delta, rng = normal(rng, x.shape, sigma_probe)
         trace_n = encoder_forward(net, x + delta)
-        ratios = [
-            float(np.mean(np.sum((zn - zc) ** 2, axis=1))) / d
-            for zn, zc, d in zip(trace_n, trace_c, denoms)
-        ]
-        per_draw[j] = float(np.mean(ratios))
-    est = _mean_se(per_draw)
+        disp = [float(np.mean(np.sum((zn - zc) ** 2, axis=1))) for zn, zc in zip(trace_n, trace_c)]
+        per_draw[j] = float(np.mean([m / d for m, d in zip(disp, denoms)]))
+        drift[j] = disp[-1]
+    est = mean_se(per_draw)
     return (
         TdiResult(
             value=est.value,
@@ -111,34 +118,10 @@ def tdi(
             sigma_probe=sigma_probe,
             sigma_requested=float(sigma),
             mc_draws=mc_draws,
+            drift=mean_se(drift),
         ),
         rng,
     )
-
-
-def embedding_drift(
-    net: MlpEncoderDecoder,
-    x,
-    sigma: float,
-    mc_draws: int,
-    rng: RngState,
-) -> tuple[Estimate, RngState]:
-    """Unnormalized expected squared displacement of the final representation.
-
-    For a linear encoder W this equals sigma^2 ||W||_F^2 in expectation.
-    """
-    if mc_draws < 1:
-        raise ValidationError("mc_draws must be >= 1")
-    if sigma < 0:
-        raise ValidationError("sigma must be >= 0")
-    x = as_matrix(np.atleast_2d(x), "x")
-    rep_c = encoder_forward(net, x)[-1]
-    per_draw = np.zeros(mc_draws)
-    for j in range(mc_draws):
-        delta, rng = normal(rng, x.shape, sigma)
-        rep_n = encoder_forward(net, x + delta)[-1]
-        per_draw[j] = float(np.mean(np.sum((rep_n - rep_c) ** 2, axis=1)))
-    return _mean_se(per_draw), rng
 
 
 def linearization_remainder(
@@ -168,69 +151,37 @@ def linearization_remainder(
         disp_p = np.sum((encoder_forward(net, x + delta)[-1] - rep_c) ** 2, axis=1)
         disp_m = np.sum((encoder_forward(net, x - delta)[-1] - rep_c) ** 2, axis=1)
         diffs[j] = float(np.mean(0.5 * (disp_p + disp_m) - lin))
-    return _mean_se(diffs), rng
+    return mean_se(diffs), rng
 
 
-class FdFrobeniusResult(NamedTuple):
-    """Finite-difference Frobenius estimates: coordinate-mean and full sum."""
-
-    literal: Estimate  # (1/d_in) sum_k ||phi(x+h e_k)-phi(x)||^2 / h^2
-    unbiased: Estimate  # sum_k ||phi(x+h e_k)-phi(x)||^2 / h^2, for ||J||_F^2
-
-
-def jac_frobenius_fd(net: MlpEncoderDecoder, x, h: float) -> FdFrobeniusResult:
-    """Squared Jacobian Frobenius norm from forward differences along every
-    input coordinate.
-
-    The coordinate-mean estimator is the full sum divided by d_in; the full
-    sum estimates ||J||_F^2 and is the one reports should use.  Standard
-    errors are across batch rows.
-    """
-    if h <= 0:
-        raise ValidationError("h must be > 0")
-    x = as_matrix(np.atleast_2d(x), "x")
-    d = x.shape[1]
-    rep_c = encoder_forward(net, x)[-1]
-    per_row = np.zeros(x.shape[0])
-    for c in range(d):
-        xp = x.copy()
-        xp[:, c] += h
-        rep_p = encoder_forward(net, xp)[-1]
-        per_row += np.sum((rep_p - rep_c) ** 2, axis=1) / h**2
-    return FdFrobeniusResult(_mean_se(per_row / d), _mean_se(per_row))
+def jac_frobenius(net: MlpEncoderDecoder, x) -> Estimate:
+    """Exact squared Jacobian Frobenius norm ||J_phi(x)||_F^2 per batch row,
+    the sum of the squared tangent norms along every input coordinate; mean
+    and SE over rows."""
+    return mean_se(tangent_sq_norms(net, x, np.eye(net.input_dim)).sum(axis=-1))
 
 
-def directional_sensitivity(net: MlpEncoderDecoder, x, w, h: float = 1e-5) -> np.ndarray:
-    """Central-difference estimate of ||J_phi(x) w|| per batch row."""
+def directional_sensitivity(net: MlpEncoderDecoder, x, w) -> np.ndarray:
+    """Exact ||J_phi(x) w|| per batch row."""
     w = as_vector(w, "w")
     if abs(np.linalg.norm(w) - 1.0) > 1e-10:
         raise ValidationError("probe direction w must be unit-norm within 1e-10")
-    if h <= 0:
-        raise ValidationError("h must be > 0")
-    x2 = as_matrix(np.atleast_2d(x), "x")
-    rep_p = encoder_forward(net, x2 + h * w)[-1]
-    rep_m = encoder_forward(net, x2 - h * w)[-1]
-    vals = np.linalg.norm(rep_p - rep_m, axis=1) / (2.0 * h)
+    vals = np.sqrt(tangent_sq_norms(net, x, w)[:, 0])
     return vals if np.asarray(x).ndim == 2 else float(vals[0])
 
 
 def anisotropy_index(net: MlpEncoderDecoder, x, w) -> float:
-    """E||J||_F^2 / E||J w||^2 over the batch, from analytic Jacobians.
+    """E||J||_F^2 / E||J w||^2 over the batch, from exact tangents.
 
     Always >= 1; equals 1 exactly when the Jacobian is rank-1 with w as its
     right singular direction, and d_in for an isotropic (identity-like) map.
     """
-    w = as_vector(w, "w")
-    if abs(np.linalg.norm(w) - 1.0) > 1e-10:
-        raise ValidationError("probe direction w must be unit-norm within 1e-10")
-    jac = batch_encoder_jacobians(net, x)
-    num = float(np.mean(np.sum(jac**2, axis=(1, 2))))
-    den = float(np.mean(np.sum(np.einsum("nrd,d->nr", jac, w) ** 2, axis=1)))
+    den = float(np.mean(directional_sensitivity(net, x, w) ** 2))
     if den < 1e-12:
         raise DegenerateDirectionError(
             "probe direction has vanishing sensitivity; anisotropy undefined"
         )
-    return num / den
+    return jac_frobenius(net, x).value / den
 
 
 @dataclass(frozen=True)
@@ -321,10 +272,7 @@ def nuisance_subspace(
     deflated = 0.5 * (deflated + deflated.T)
     _, vecs = np.linalg.eigh(deflated)  # ascending eigenvalues
     top = vecs[:, ::-1][:, :r].T  # rows are directions, largest first
-    jac = batch_encoder_jacobians(net, x)
-    sens = np.array(
-        [float(np.mean(np.sum(np.einsum("nrd,d->nr", jac, w) ** 2, axis=1))) for w in top]
-    )
+    sens = np.array([float(np.mean(col)) for col in tangent_sq_norms(net, x, top).T])
     return top, sens
 
 
@@ -345,7 +293,7 @@ class DiagnosticsReport:
     tdi: dict = field(default_factory=dict)  # sigma -> (value, se)
     tdi_at_0: dict = field(default_factory=dict)  # {"value", "se", "sigma_probe"}
     drift: dict = field(default_factory=dict)  # sigma -> (value, se)
-    jac_fro: dict = field(default_factory=dict)  # {"unbiased", "literal", "se", ...}
+    jac_fro: dict = field(default_factory=dict)  # {"value", "se"}
     directional: dict = field(default_factory=dict)  # probe name -> (mean, se)
     anisotropy: float = float("nan")
     lipschitz: dict = field(default_factory=dict)
@@ -354,19 +302,10 @@ class DiagnosticsReport:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "tdi": {f"{s:.17g}": [v, se] for s, (v, se) in sorted(self.tdi.items())},
-            "tdi_at_0": self.tdi_at_0,
-            "drift": {f"{s:.17g}": [v, se] for s, (v, se) in sorted(self.drift.items())},
-            "jac_fro": self.jac_fro,
-            "directional": {k: [v, se] for k, (v, se) in self.directional.items()},
-            "anisotropy": self.anisotropy,
-            "lipschitz": self.lipschitz,
-            "mc_draws": self.mc_draws,
-            "eval_rows": self.eval_rows,
-            "seed": self.seed,
-        }
+        out = asdict(self)
+        for key in ("tdi", "drift"):  # sigma keys written with 17 significant digits
+            out[key] = {f"{s:.17g}": [v, se] for s, (v, se) in sorted(out[key].items())}
+        return out
 
     def to_json(self, path: str) -> None:
         atomic_write(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -389,10 +328,7 @@ class DiagnosticsReport:
         for s, (v, se) in sorted(self.drift.items()):
             rows.append((self.run_id, "drift", s, v, se))
         if self.jac_fro:
-            rows.append(
-                (self.run_id, "jac_fro", self.jac_fro.get("h", 0.0),
-                 self.jac_fro["unbiased"], self.jac_fro["se_unbiased"])
-            )
+            rows.append((self.run_id, "jac_fro", 0.0, self.jac_fro["value"], self.jac_fro["se"]))
         for name, (v, se) in self.directional.items():
             rows.append((self.run_id, f"directional:{name}", 0.0, v, se))
         if np.isfinite(self.anisotropy):
@@ -418,7 +354,10 @@ def diagnose(
     run_id: str = "run",
     probe_directions: dict | None = None,
 ) -> DiagnosticsReport:
-    """Assemble a full diagnostics report for one model snapshot."""
+    """Assemble a full diagnostics report for one model snapshot; each sigma
+    of the grid (all > 0) gives its TDI and its drift from one set of draws."""
+    if not all(s > 0 for s in sigma_grid):
+        raise ValidationError(f"sigma_grid values must be > 0, got {list(sigma_grid)}")
     x_eval = as_matrix(np.atleast_2d(x_eval), "x_eval")
     report = DiagnosticsReport(
         run_id=run_id, mc_draws=mc_draws, eval_rows=x_eval.shape[0], seed=rng.seed
@@ -428,26 +367,14 @@ def diagnose(
     for s in sigma_grid:
         res, rng = tdi(net, x_eval, float(s), mc_draws, rng)
         report.tdi[float(s)] = (res.value, res.se)
-        dr, rng = embedding_drift(net, x_eval, float(s), mc_draws, rng)
-        report.drift[float(s)] = (dr.value, dr.se)
-    fro = jac_frobenius_fd(net, x_eval, FD_STEP)
-    report.jac_fro = {
-        "unbiased": fro.unbiased.value,
-        "se_unbiased": fro.unbiased.se,
-        "literal": fro.literal.value,
-        "se_literal": fro.literal.se,
-        "k_probes": x_eval.shape[1],
-        "h": FD_STEP,
-    }
+        report.drift[float(s)] = (res.drift.value, res.drift.se)
+    fro = jac_frobenius(net, x_eval)
+    report.jac_fro = {"value": fro.value, "se": fro.se}
     if probe_directions:
         for name, w in probe_directions.items():
-            vals = directional_sensitivity(net, x_eval, w)
-            report.directional[name] = (float(vals.mean()), _mean_se(vals).se)
+            est = mean_se(directional_sensitivity(net, x_eval, w))
+            report.directional[name] = (est.value, est.se)
         first = next(iter(probe_directions.values()))
         report.anisotropy = anisotropy_index(net, x_eval, first)
-    lip = lipschitz_track(net)
-    report.lipschitz = {
-        "value": lip.value,
-        "encoder_layer_norms": list(lip.encoder_layer_norms),
-    }
+    report.lipschitz = asdict(lipschitz_track(net))
     return report

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import data as dt
 from ._atomic import atomic_write
-from .diagnostics import FD_STEP, jac_frobenius_fd, lipschitz_track, tdi
+from .diagnostics import jac_frobenius, lipschitz_track, tdi
 from .errors import ConfigError, TrainingDivergedError, ValidationError
 from .network import NetSpec, forward_with_trace
 from .objectives import OBJECTIVES, PgdConfig, TrainConfig, WarmupSchedule, train, train_stack
@@ -443,8 +443,8 @@ def _compare_cell(config: ExperimentConfig, method: str, seed: int) -> dict:
     for s in config.sigma_eval:
         res, _ = tdi(net, x_eval, float(s), config.mc_draws, derive(seed, "tdi", method, s))
         metrics[f"tdi@{s:g}"] = (res.value, res.se)
-    fro = jac_frobenius_fd(net, x_eval[:256], FD_STEP)
-    metrics["jac_fro_sq"] = (fro.unbiased.value, fro.unbiased.se)
+    fro = jac_frobenius(net, x_eval[:256])
+    metrics["jac_fro_sq"] = (fro.value, fro.se)
     metrics["lipschitz"] = (lipschitz_track(net).value, 0.0)
     b_test, _ = dt.sample(config.model(), 4096, derive(config.seed, "test-batch"))
     pred_t, _ = forward_with_trace(net, b_test.x)

@@ -369,6 +369,30 @@ def batch_encoder_jacobians(net: MlpEncoderDecoder, x) -> np.ndarray:
     return jac
 
 
+def tangent_sq_norms(net: MlpEncoderDecoder, x, directions) -> np.ndarray:
+    """Exact ||J_phi(x_i) v_j||^2 for every row x_i and every row v_j of
+    ``directions``, shape x.shape[:-1] + (k,): forward-mode tangents
+    ``t = (t @ W.T) * act'``, one direction at a time, so memory stays at one
+    activation trace and the (n, rep_dim, d_in) Jacobian stack is never built."""
+    x = _as_input(net, x)
+    directions = as_matrix(np.atleast_2d(directions), "directions")
+    if directions.shape[1] != net.input_dim:
+        raise ShapeError(f"directions have {directions.shape[1]} columns, expected {net.input_dim}")
+    derivs = _encoder_trace(net, x)
+    for layer, z in zip(net.encoder, derivs):
+        if layer.activation == "tanh":
+            np.subtract(1.0, z * z, out=z)  # tanh' = 1 - z^2, in place
+    out = np.empty(x.shape[:-1] + (directions.shape[0],))
+    for j, v in enumerate(directions):
+        t = v[None, :]
+        for layer, deriv in zip(net.encoder, derivs):
+            t = t @ layer.weight.swapaxes(-1, -2)
+            if layer.activation == "tanh":
+                t = t * deriv
+        out[..., j] = np.sum(t * t, axis=-1)
+    return out
+
+
 def sgd_step(net: MlpEncoderDecoder, grads: ParamGrads, lr: float) -> None:
     for layer, (dw, db) in zip(net.parameters(), grads.pairs()):
         layer.weight -= lr * dw

@@ -3,9 +3,13 @@ package sources.
 
 Each demo is copied into a temporary directory and run there in a fresh
 interpreter with ``PYTHONPATH`` pointing at ``src``, so files a demo writes
-next to itself land in the temporary directory.  All five take about 45 s.
+next to itself land in the temporary directory.  All five take about 45 s,
+so those runs are marked slow; a quick test checks that every name a demo
+imports from the package exists.
 """
 
+import ast
+import importlib
 import os
 import shutil
 import subprocess
@@ -19,6 +23,27 @@ DEMOS = sorted(f for f in os.listdir(os.path.join(ROOT, "demos")) if f.endswith(
 
 def test_all_five_demos_found():
     assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_imports_resolve(demo):
+    with open(os.path.join(ROOT, "demos", demo)) as f:
+        tree = ast.parse(f.read(), demo)
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+            names = []
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules, names = [node.module], [alias.name for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            if module.split(".")[0] != "isogeo":
+                continue
+            mod = importlib.import_module(module)
+            missing += [f"{module}.{name}" for name in names if not hasattr(mod, name)]
+    assert not missing
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from isogeo.diagnostics import (
     anisotropy_index,
     diagnose,
     directional_sensitivity,
-    embedding_drift,
-    jac_frobenius_fd,
+    jac_frobenius,
     jacobian_lipschitz_fd,
     linearization_remainder,
     lipschitz_track,
@@ -18,7 +18,13 @@ from isogeo.diagnostics import (
     tdi,
 )
 from isogeo.errors import DegenerateDirectionError, ValidationError
-from isogeo.network import Layer, MlpEncoderDecoder, NetSpec, init_network
+from isogeo.network import (
+    Layer,
+    MlpEncoderDecoder,
+    NetSpec,
+    batch_encoder_jacobians,
+    init_network,
+)
 from isogeo.rng import RngState, derive, gaussian_matrix, normal
 
 
@@ -107,21 +113,23 @@ class TestTdi:
 
 class TestDrift:
     def test_zero_encoder(self):
+        # zero weights with a nonzero bias: a constant, nonvanishing encoder
         net = MlpEncoderDecoder(
-            [Layer(np.zeros((3, 4)), np.zeros(3), "identity")],
+            [Layer(np.zeros((3, 4)), np.ones(3), "identity")],
             Layer(np.ones((1, 3)), np.zeros(1), "identity"),
         )
         x, _ = normal(RngState(18), (20, 4))
-        est, _ = embedding_drift(net, x, 0.3, 8, RngState(19))
-        assert est.value == 0.0
+        res, _ = tdi(net, x, 0.3, 8, RngState(19))
+        assert res.drift.value == 0.0
 
     def test_linear_trace_oracle(self):
         w, _ = gaussian_matrix(RngState(20), 5, 6, 1.0)
         net = linear_encoder(w)
         x, _ = normal(RngState(21), (200, 6))
         sigma = 0.15
-        est, _ = embedding_drift(net, x, sigma, 128, RngState(22))
-        assert abs(est.value - sigma**2 * np.sum(w**2)) < 3 * est.se
+        res, _ = tdi(net, x, sigma, 128, RngState(22))
+        assert res.drift.n == 128
+        assert abs(res.drift.value - sigma**2 * np.sum(w**2)) < 3 * res.drift.se
 
     def test_tanh_remainder_bounded_by_curvature(self):
         net = tanh_net(seed=23, d=8, hidden=(12,), rep=6)
@@ -140,30 +148,42 @@ class TestDrift:
         assert abs(rem.value) < 1e-14
 
 
-class TestJacFrobeniusFd:
-    def test_linear_all_coords_exact(self):
+class TestJacFrobenius:
+    def test_linear_equals_weight_frobenius(self):
         w, _ = gaussian_matrix(RngState(30), 4, 6, 1.0)
         net = linear_encoder(w)
         x, _ = normal(RngState(31), (10, 6))
-        res = jac_frobenius_fd(net, x, 0.5)  # any h is exact for linear maps
-        assert res.unbiased.value == pytest.approx(np.sum(w**2), rel=1e-12)
-        assert res.literal.value == pytest.approx(np.sum(w**2) / 6, rel=1e-12)
+        res = jac_frobenius(net, x)
+        assert res.value == pytest.approx(np.sum(w**2), rel=1e-12)
+        assert res.n == 10
 
     def test_zero_net(self):
         net = linear_encoder(np.zeros((3, 5)))
         x, _ = normal(RngState(32), (4, 5))
-        res = jac_frobenius_fd(net, x, 0.01)
-        assert res.unbiased.value == 0.0
+        res = jac_frobenius(net, x)
+        assert res.value == 0.0
+        assert res.se == 0.0
 
-    def test_tanh_matches_analytic_within_one_percent(self):
-        from isogeo.network import batch_encoder_jacobians
-
-        net = tanh_net(seed=33)
+    @pytest.mark.parametrize("hidden", [(10,), (10, 7)], ids=["one_hidden", "two_hidden"])
+    def test_tanh_matches_analytic_jacobians(self, hidden):
+        net = tanh_net(seed=33, hidden=hidden)
         x, _ = normal(RngState(34), (64, 6))
-        res = jac_frobenius_fd(net, x, 1e-4)
-        jac = batch_encoder_jacobians(net, x)
-        exact = float(np.mean(np.sum(jac**2, axis=(1, 2))))
-        assert res.unbiased.value == pytest.approx(exact, rel=0.01)
+        rows = np.sum(batch_encoder_jacobians(net, x) ** 2, axis=(1, 2))
+        res = jac_frobenius(net, x)
+        assert res.value == pytest.approx(float(np.mean(rows)), rel=1e-12)
+        assert res.se == pytest.approx(float(rows.std(ddof=1) / np.sqrt(64)), rel=1e-10)
+
+    def test_peak_memory_below_one_jacobian_stack(self):
+        # the (n, rep, d) float64 stack of these rows would take 8 MiB
+        net, _ = init_network(NetSpec(16, (32,), 16), RngState(35))
+        x, _ = normal(RngState(36), (4096, 16))
+        tracemalloc.start()
+        try:
+            jac_frobenius(net, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 * 16 * 16 * 8
 
 
 class TestDirectionalSensitivity:
@@ -183,18 +203,16 @@ class TestDirectionalSensitivity:
         null_dir = np.array([0.0, 0.0, 1.0, 0.0])
         x, _ = normal(RngState(41), (5, 4))
         vals = directional_sensitivity(net, x, null_dir)
-        assert np.all(vals < 1e-10)
+        assert np.all(vals == 0.0)
 
     def test_tanh_matches_analytic_jacobian(self):
-        from isogeo.network import batch_encoder_jacobians
-
-        net = tanh_net(seed=42)
-        x, _ = normal(RngState(43), 6)
+        net = tanh_net(seed=42, hidden=(10, 7))
+        x, _ = normal(RngState(43), (32, 6))
         v, _ = normal(RngState(44), 6)
         v /= np.linalg.norm(v)
-        fd = directional_sensitivity(net, x, v, h=1e-5)
-        exact = np.linalg.norm(batch_encoder_jacobians(net, x[None])[0] @ v)
-        assert fd == pytest.approx(exact, rel=1e-4)
+        exact = np.linalg.norm(batch_encoder_jacobians(net, x) @ v, axis=1)
+        np.testing.assert_allclose(directional_sensitivity(net, x, v), exact, rtol=1e-12)
+        assert directional_sensitivity(net, x[0], v) == pytest.approx(exact[0], rel=1e-12)
 
     def test_requires_unit_direction(self):
         net = tanh_net()
@@ -336,6 +354,26 @@ class TestDiagnoseReport:
         lines = cpath.read_text().strip().split("\n")
         assert lines[0] == "run_id,metric,sigma,value,se"
         assert len(lines) > 4
+
+    def test_drift_comes_from_the_tdi_draws(self):
+        net = tanh_net(seed=83)
+        x, _ = normal(RngState(84), (32, 6))
+        report = diagnose(net, x, [0.05, 0.2], RngState(85), mc_draws=4)
+        rng = tdi(net, x, 0.0, 4, RngState(85))[1]
+        for s in (0.05, 0.2):
+            res, rng = tdi(net, x, s, 4, rng)
+            assert report.tdi[s] == (res.value, res.se)
+            assert report.drift[s] == (res.drift.value, res.drift.se)
+        fro = jac_frobenius(net, x)
+        assert report.jac_fro == {"value": fro.value, "se": fro.se}
+        assert ("run", "jac_fro", 0.0, fro.value, fro.se) in report.csv_rows()
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.1], [0.1, -0.2], [float("nan")]])
+    def test_rejects_nonpositive_sigma(self, grid):
+        net = tanh_net(seed=86)
+        x, _ = normal(RngState(87), (8, 6))
+        with pytest.raises(ValidationError):
+            diagnose(net, x, grid, RngState(88), mc_draws=2)
 
     def test_anisotropy_floor_in_report(self):
         net = tanh_net(seed=80)

@@ -482,6 +482,51 @@ class TestCli:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @staticmethod
+    def _assert_refused_before_work(rc, capsys):
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert "[PASS]" not in out and "[FAIL]" not in out
+
+    @pytest.mark.parametrize("out", ["existing_dir", "missing/reports.json"])
+    def test_verify_bad_out_exit_two_before_any_check(self, tmp_path, capsys, out):
+        (tmp_path / "existing_dir").mkdir()
+        rc = cli.main(["verify", "--checks", "subblock_inequality",
+                       "--out", str(tmp_path / out)])
+        self._assert_refused_before_work(rc, capsys)
+
+    @pytest.mark.parametrize("out", ["existing_dir", "r.json", "missing/r.json"])
+    def test_diagnose_bad_out_exit_two_before_any_work(self, tmp_path, capsys, monkeypatch, out):
+        from isogeo.network import NetSpec, init_network, save_params
+        from isogeo.rng import RngState
+
+        (tmp_path / "existing_dir").mkdir()
+        (tmp_path / "r.csv").mkdir()  # the CSV sibling of r.json
+        model = str(tmp_path / "m.bin")
+        save_params(init_network(NetSpec(4, (3,), 2), RngState(0))[0], model)
+        calls = []
+        monkeypatch.setattr(cli, "diagnose", lambda *a, **k: calls.append(a))
+        rc = cli.main(["diagnose", "--model", model, "--sigma-grid", "0.1",
+                       "--out", str(tmp_path / out)])
+        self._assert_refused_before_work(rc, capsys)
+        assert calls == []
+
+    @pytest.mark.parametrize("outdir", ["a_file", "a_file/sub", "out"])
+    def test_experiment_bad_outdir_exit_two_before_training(
+        self, tmp_path, capsys, monkeypatch, outdir
+    ):
+        (tmp_path / "a_file").write_text("")
+        (tmp_path / "out" / "compare.json").mkdir(parents=True)  # a directory, not a table
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(f"[experiment]\nkind = compare\noutdir = {tmp_path / outdir}\n")
+        calls = []
+        monkeypatch.setattr(xp, "run_experiment", lambda *a, **k: calls.append(a))
+        rc = cli.main(["compare", "--config", str(cfgf)])
+        self._assert_refused_before_work(rc, capsys)
+        assert calls == []
+
     def test_diverging_pgd_row_is_listed_as_failed(self, tmp_path):
         # lr = 1e6 diverges both nets; the PGD attack meets the diverged net
         # first, and its row must still be a failed row, not a config error.

@@ -146,18 +146,18 @@ PRODUCERS = {
 }
 
 DIGESTS = {
-    "adversarial_seeds:json": "dc4a2febfd17c4f0e02a0c255b32316657a66e8ed683e10b9b3fd2ebcaade0d2",
+    "adversarial_seeds:json": "5bdf7dd668695ae2e90d538258346a748fae3428b7836bac4f89dfd4bb84acae",
     "capsweep:csv": "4199ffdf3623f098fb44480f517bd114de20f907f14fa9543e2771b98af35b30",
     "capsweep:json": "1c173630e8aef1ede08ed880686824ca5b86067a08eed76c4d2ef7bfd4e9b50f",
-    "compare:csv": "33d8acca18951c379348a38cb6b4b5f01e03896b6f6570ac11008ecda03e712f",
-    "compare:json": "6d98ab2e53d4e444b77de1f406112ef35e1cccf3c2332a49231521212c063d01",
-    "compare_pgd:csv": "32ef55deb021fcfd2928e6c21a8905672058c9d0a542f7161d43a6081d3fa4c8",
-    "compare_pgd:json": "1c663ffb2013f4fa8e03f7188e4158a64f54e42285b3e7e0c9a408fa27341457",
-    "diagnose:csv": "4e51cb15053662c720ef156ff5f4eb44a7defa6f06ed79122d4af731c8cf3134",
-    "diagnose:json": "972ffca767a045720b60e5d1b55f939193c6d16495d5e91688851746c433322d",
+    "compare:csv": "bc6183638e6e4667d321b4ba798e69bab5b45cd96d18e08a89e98486440dd9c6",
+    "compare:json": "32e5104d76943e484071b77de6af14e3451ab7e3d33a60b990c0a593f8092100",
+    "compare_pgd:csv": "fe5b97db9ceaf43ece54762d34c19ccdbf67d131efe7cbd17cef27496680e5d6",
+    "compare_pgd:json": "be91b1696d7e2dd33c0f77fd3698fcb1fee44fdbb1a4b7edd8ddbd74a5e34341",
+    "diagnose:csv": "77f5274e568e66013f622e896d6d387b4ae0ee17bec1f7d8a0149b0bc062771c",
+    "diagnose:json": "a331033c57d65ed90e5c5e57061747b050c2de994e70c67fb567233fd709eca5",
     "multiscale:csv": "be7fa5729d60bc0e2fe10162bc36871f5ebc6aa1e69a2f224acc22692c4054a8",
     "multiscale:json": "78f43ad73c59c4310ea8bf15fd095a455b8bda65f68ac397ee81007ed0067404",
-    "reports:adversarial": "22d10ab0e91151d49482be7c46c76f034e998eec65073808cdc284720eba8d46",
+    "reports:adversarial": "a23899eb11338cdeedf48c05cdbd6fac6b66cdeedc14d6eac1a91606c75eb571",
     "reports:bulk": "fa1b544529991deec970ef130fa6046940b18f12e69fbef5db0605365be2be1d",
     "reports:cap": "af5502c490fdfd970434b08f46f426e92b3a71433556d7d8dc787dabe0e22d09",
     "reports:training_free": "a8373f6095721aff0278687ee22991bcdb385855ff71aa543a5d77ff56ed2187",

@@ -15,6 +15,8 @@ from isogeo.network import (
     input_gradient,
     load_params,
     save_params,
+    stack_networks,
+    tangent_sq_norms,
 )
 from isogeo.objectives import cross_entropy_loss, mse_loss
 from isogeo.rng import RngState, normal
@@ -223,6 +225,28 @@ class TestJacobians:
         batch = batch_encoder_jacobians(net, x)
         for i in range(4):
             assert np.allclose(batch[i], batch_encoder_jacobians(net, x[i][None])[0], atol=1e-14)
+
+
+class TestTangents:
+    def test_match_jacobian_stack_per_row_and_direction(self):
+        net = small_net(seed=64, hidden=(10, 7))
+        x, r = normal(RngState(65), (16, 6))
+        v, _ = normal(r, (3, 6))
+        got = tangent_sq_norms(net, x, v)
+        exact = np.sum(np.einsum("nrd,kd->nkr", batch_encoder_jacobians(net, x), v) ** 2, axis=2)
+        assert got.shape == (16, 3)
+        np.testing.assert_allclose(got, exact, rtol=1e-12)
+
+    def test_stack_slices_equal_each_net(self):
+        nets = [small_net(seed=66 + k) for k in range(2)]
+        x, _ = normal(RngState(68), (2, 5, 6))
+        got = tangent_sq_norms(stack_networks(nets), x, np.eye(6))
+        for k, net in enumerate(nets):
+            assert np.array_equal(got[k], tangent_sq_norms(net, x[k], np.eye(6)))
+
+    def test_direction_width_must_match_input(self):
+        with pytest.raises(ShapeError):
+            tangent_sq_norms(small_net(), np.zeros((2, 6)), np.ones((1, 5)))
 
 
 class TestInputGradient:
