@@ -1,8 +1,8 @@
 """Side-by-side geometry of ERM, PGD, and PMH trained encoders.
 
 A scaled-down version of the `isogeo compare` experiment: all three
-objectives train on identical data streams, then TDI and the
-finite-difference Jacobian norm are measured on a shared evaluation batch.
+objectives train on identical data streams, then TDI and the exact
+Jacobian norm are measured on a shared evaluation batch.
 The signature to look for: adversarial training reaches a *smaller* Jacobian
 norm than ERM while its clean-input TDI is *not* smaller, and the matching
 penalty gives the smallest TDI outright.  (The full-scale version runs

@@ -18,7 +18,8 @@ and test the predicted ordering across seeds.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -26,15 +27,13 @@ import numpy as np
 from . import data as dt
 from ._atomic import atomic_write
 from .diagnostics import (
-    jac_frobenius,
     jacobian_lipschitz_fd,
     linearization_remainder,
     lipschitz_track,
     mean_se,
     nuisance_subspace,
-    tdi,
 )
-from .errors import ConfigError, TrainingDivergedError, UndertrainedModelError, ValidationError
+from .errors import ConfigError, UndertrainedModelError, ValidationError
 from .network import (
     Layer,
     MlpEncoderDecoder,
@@ -42,7 +41,9 @@ from .network import (
     batch_encoder_jacobians,
     forward_with_trace,
 )
-from .experiments import ExperimentConfig, default_config, train_stacks
+from .experiments import (
+    ExperimentConfig, compare_metrics, default_config, run_capsweep, train_stacks
+)
 from .objectives import TrainConfig, train
 from .rng import derive, gaussian_matrix, normal, uniform
 
@@ -473,13 +474,6 @@ def check_anisotropy_floor(seed: int = 0, trials: int = 1000, dim: int = 6) -> C
     )
 
 
-def _trained(result) -> tuple:
-    """A train_stack result as train returns it: (net, log), or the raise."""
-    if isinstance(result, TrainingDivergedError):
-        raise result
-    return result
-
-
 def check_cap_fixed_point(
     caps: tuple = (0.10, 0.15, 0.25, 0.30, 0.40, 0.60),
     seed: int = 0,
@@ -489,23 +483,21 @@ def check_cap_fixed_point(
     """Steady-state penalty fraction equals cap/(1+cap) for every cap.
 
     Targets for the default grid: 0.091, 0.130, 0.200, 0.231, 0.286, 0.375.
-    Steady state is the final 20% of steps.  Training is the capsweep
-    experiment's PMH setup at the given seed and length, the caps trained
-    as stacks (experiments.train_stacks).
+    Steady state is the final 20% of steps.  The fractions are the
+    ``fraction`` column of the capsweep experiment (run_capsweep) at the
+    given seed, length and caps.  A cap whose net diverged reads NaN there,
+    which fails its comparison, so the check fails without raising.
     """
-    config = default_config("capsweep", seed=seed, steps=steps)
-    cfgs = [replace(config.train_config("pmh", seed), cap=cap) for cap in caps]
+    table = run_capsweep(default_config("capsweep", seed=seed, steps=steps, cap_grid=tuple(caps)))
     measured = {}
     bounds = {}
     ok = True
-    for cap, trained in zip(caps, train_stacks(config, cfgs)):
-        _, log = _trained(trained)
-        frac = log.steady_state_fraction()
+    for cap, row in zip(caps, table.row_keys):
+        frac = table.get(row, "fraction")[0]
         target = cap / (1.0 + cap)
         measured[f"fraction_cap={cap:g}"] = frac
         bounds[f"target_cap={cap:g}"] = target
-        if abs(frac - target) > tolerance:
-            ok = False
+        ok = ok and abs(frac - target) <= tolerance
     return CheckReport(
         check_id="cap_fixed_point",
         passed=ok,
@@ -550,7 +542,7 @@ def check_nuisance_sensitivity_floor(
 
     Requires the net to be ERM-trained to task loss within 5% of the
     irreducible optimum; otherwise raises UndertrainedModelError.  The
-    directional comparison allows 3 MC standard errors plus the exact
+    directional comparison allows z_star(1) MC standard errors plus the exact
     optimization-gap allowance sqrt(max(0, mse - optimum)) / L (for a linear
     model under unit input covariance, excess MSE equals the squared
     parameter error exactly).
@@ -576,7 +568,7 @@ def check_nuisance_sensitivity_floor(
     drift_lin = sigma**2 * fro2
     drift_bound = sigma**2 * model.rho**2 / lip**2
     dir_bound = model.rho / lip
-    slack = 3 * sens_se + opt_gap / lip
+    slack = z_star(1) * sens_se + opt_gap / lip
     passed = drift_lin >= drift_bound and sens >= dir_bound - slack
     return CheckReport(
         check_id="nuisance_sensitivity_floor",
@@ -716,14 +708,6 @@ def check_suppression_cost_exact(
     )
 
 
-def _measure(trained, objective: str, seed: int, config: ExperimentConfig) -> tuple[float, float]:
-    """(tdi_at_0, jac_frobenius_sq) of one train_stack result."""
-    net, _ = _trained(trained)
-    eval_batch, _ = dt.sample(config.model(), config.eval_rows, derive(seed, "eval", objective))
-    res, _ = tdi(net, eval_batch.x, 0.0, config.mc_draws, derive(seed, "tdi", objective))
-    return res.value, jac_frobenius(net, eval_batch.x[:256]).value
-
-
 def check_adversarial_geometry_signature(
     seed: int = 0,
     n_seeds: int = 5,
@@ -742,49 +726,37 @@ def check_adversarial_geometry_signature(
     which the plain-ERM encoder inflates its Jacobian (logit growth), the
     regime where adversarial training visibly redistributes sensitivity.
     Every objective trains at seeds seed .. seed + n_seeds - 1, as one
-    stack per objective; TDI uses config.mc_draws draws on config.eval_rows
-    rows.
+    stack per objective, and every net is measured by
+    experiments.compare_metrics: its tdi_at_0 and jac_fro_sq are the cells
+    run_compare gives at that seed, and the three nets of one seed share
+    their eval batch.  A diverged net reads NaN, which fails every
+    comparison, so it is a miss at its seed.
     """
+    if n_seeds < 1:
+        raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
     seeds = tuple(range(seed, seed + n_seeds))
-    trained = {}
+    per_seed = {s: {} for s in seeds}
     for objective in ("erm", "pgd", "pmh"):
         cfgs = [config.train_config(objective, s) for s in seeds]
-        for s, res in zip(seeds, train_stacks(config, cfgs)):
-            trained[s, objective] = res
-    per_seed = {}
-    pgd_hits = 0
-    pmh_hits = 0
-    for seed in seeds:
-        tdi_erm, fro_erm = _measure(trained[seed, "erm"], "erm", seed, config)
-        tdi_pgd, fro_pgd = _measure(trained[seed, "pgd"], "pgd", seed, config)
-        tdi_pmh, fro_pmh = _measure(trained[seed, "pmh"], "pmh", seed, config)
-        pgd_sig = fro_pgd < fro_erm and tdi_pgd >= tdi_erm
-        pmh_sig = tdi_pmh <= tdi_erm
-        pgd_hits += int(pgd_sig)
-        pmh_hits += int(pmh_sig)
-        per_seed[f"seed={seed}"] = {
-            "tdi_erm": tdi_erm,
-            "tdi_pgd": tdi_pgd,
-            "tdi_pmh": tdi_pmh,
-            "fro_erm": fro_erm,
-            "fro_pgd": fro_pgd,
-            "fro_pmh": fro_pmh,
-            "pgd_signature": pgd_sig,
-            "pmh_signature": pmh_sig,
-        }
+        for s, trained in zip(seeds, train_stacks(config, cfgs)):
+            metrics = compare_metrics(config, objective, s, trained)
+            per_seed[s][f"tdi_{objective}"] = metrics.get("tdi_at_0", (math.nan,))[0]
+            per_seed[s][f"fro_{objective}"] = metrics.get("jac_fro_sq", (math.nan,))[0]
+    for v in per_seed.values():
+        v["pgd_signature"] = v["fro_pgd"] < v["fro_erm"] and v["tdi_pgd"] >= v["tdi_erm"]
+        v["pmh_signature"] = v["tdi_pmh"] <= v["tdi_erm"]
+    pgd_hits = sum(v["pgd_signature"] for v in per_seed.values())
+    pmh_hits = sum(v["pmh_signature"] for v in per_seed.values())
     need = len(seeds) // 2 + 1
     passed = pgd_hits >= need and pmh_hits >= need
-    flat = {}
-    for key, vals in per_seed.items():
-        for name, v in vals.items():
-            flat[f"{key}:{name}"] = float(v)
+    flat = {f"seed={s}:{name}": float(x) for s, v in per_seed.items() for name, x in v.items()}
     return CheckReport(
         check_id="adversarial_geometry_signature",
         passed=passed,
         measured={"pgd_signature_seeds": pgd_hits, "pmh_signature_seeds": pmh_hits, **flat},
         bounds={"majority_needed": need, "total_seeds": len(seeds)},
         n_samples={"train_steps": config.steps, "seeds": len(seeds)},
-        seed=seeds[0],
+        seed=seed,
         detail="PGD: lower Jac-Fro with TDI not below ERM; PMH: TDI <= ERM",
     )
 

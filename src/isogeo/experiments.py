@@ -419,25 +419,36 @@ def _spread(cells: list) -> list[list]:
 # ---------------------------------------------------------------------------
 
 
-def _eval_inputs(config: ExperimentConfig) -> np.ndarray:
-    batch, _ = dt.sample(config.model(), config.eval_rows, derive(config.seed, "eval-batch"))
+def _eval_inputs(config: ExperimentConfig, seed: int) -> np.ndarray:
+    batch, _ = dt.sample(config.model(), config.eval_rows, derive(seed, "eval-batch"))
     return batch.x
 
 
 def _compare_cells(config: ExperimentConfig, cells: list) -> list[dict]:
     """Train each (method, seed) cell alone (methods differ, so they do not
     stack) and measure the comparison metrics."""
-    return [_compare_cell(config, method, seed) for method, seed in cells]
+    spec, source = config.net_spec(), config.data_source()
+    out = []
+    for method, seed in cells:
+        try:
+            trained = train(config.train_config(method, seed), spec, source)
+        except TrainingDivergedError as exc:
+            trained = exc
+        out.append(compare_metrics(config, method, seed, trained))
+    return out
 
 
-def _compare_cell(config: ExperimentConfig, method: str, seed: int) -> dict:
-    """Train one method and measure the comparison metrics."""
-    source = config.data_source()
-    x_eval = _eval_inputs(config)
-    try:
-        net, log = train(config.train_config(method, seed), config.net_spec(), source)
-    except TrainingDivergedError:
+def compare_metrics(config: ExperimentConfig, method: str, seed: int, trained) -> dict:
+    """The comparison metrics of one train_stack result, (net, log) or its
+    TrainingDivergedError ({"failed": True}), for method at seed.
+
+    The eval batch, the test batch and the TDI draws all come from seed, so
+    every method trained at one seed is measured on the same rows.
+    """
+    if isinstance(trained, TrainingDivergedError):
         return {"failed": True}
+    net, log = trained
+    x_eval = _eval_inputs(config, seed)
     zero, _ = tdi(net, x_eval, 0.0, config.mc_draws, derive(seed, "tdi0", method))
     metrics = {"failed": False, "tdi_at_0": (zero.value, zero.se)}
     for s in config.sigma_eval:
@@ -446,7 +457,7 @@ def _compare_cell(config: ExperimentConfig, method: str, seed: int) -> dict:
     fro = jac_frobenius(net, x_eval[:256])
     metrics["jac_fro_sq"] = (fro.value, fro.se)
     metrics["lipschitz"] = (lipschitz_track(net).value, 0.0)
-    b_test, _ = dt.sample(config.model(), 4096, derive(config.seed, "test-batch"))
+    b_test, _ = dt.sample(config.model(), 4096, derive(seed, "test-batch"))
     pred_t, _ = forward_with_trace(net, b_test.x)
     if config.loss == "cross-entropy":
         labels = dt.threshold_labels(b_test.y)
@@ -477,7 +488,7 @@ def _talign_cells(config: ExperimentConfig, cells: list) -> list[dict]:
     """Train a stack of PMH cells (sigma_train, seed) and measure each
     one's TDI at every eval scale."""
     cfgs = [config.train_config("pmh", seed, sigma_train=st) for st, seed in cells]
-    x_eval = _eval_inputs(config)
+    x_eval = _eval_inputs(config, config.seed)
     out = []
     for (sigma_train, seed), trained in zip(cells, train_stacks(config, cfgs)):
         if isinstance(trained, TrainingDivergedError):
@@ -638,7 +649,7 @@ def _capsweep_cells(config: ExperimentConfig, cells: list) -> list[dict]:
     """Train a stack of PMH cells (cap, seed) and measure each one's penalty
     fraction, final task loss and TDI."""
     cfgs = [replace(config.train_config("pmh", seed), cap=cap) for cap, seed in cells]
-    x_eval = _eval_inputs(config)
+    x_eval = _eval_inputs(config, config.seed)
     out = []
     for (cap, seed), trained in zip(cells, train_stacks(config, cfgs)):
         if isinstance(trained, TrainingDivergedError):

@@ -1,11 +1,14 @@
 import json
+import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from isogeo import checks as ck
+from isogeo import experiments as xp
 from isogeo.data import GaussianNuisanceModel
 from isogeo.errors import ConfigError, UndertrainedModelError, ValidationError
 from isogeo.network import NetSpec, init_network
@@ -171,6 +174,59 @@ class TestMainChecks:
         c = ck.check_isotropic_trace_identity(seed=7, n_pairs=20, mc_per_pair=500)
         d = ck.check_isotropic_trace_identity(seed=7, n_pairs=20, mc_per_pair=500)
         assert c.measured == d.measured
+
+
+class TestTrainedChecksReadTheExperiments:
+    """The trained-model checks measure through the experiments' code: the
+    signature reads experiments.compare_metrics and the cap check reads
+    run_capsweep, so their values are those tables' cells."""
+
+    SMALL = xp.ExperimentConfig(
+        kind="compare", steps=60, eval_rows=48, mc_draws=4, sigma_eval=(0.05,)
+    )
+
+    def test_signature_values_are_the_compare_cells(self):
+        r = ck.check_adversarial_geometry_signature(seed=3, n_seeds=2, config=self.SMALL)
+        for seed in (3, 4):
+            table = xp.run_compare(replace(self.SMALL, seed=seed))
+            for method in ("erm", "pgd", "pmh"):
+                assert r.measured[f"seed={seed}:tdi_{method}"] == table.get(method, "tdi_at_0")[0]
+                assert r.measured[f"seed={seed}:fro_{method}"] == table.get(method, "jac_fro_sq")[0]
+
+    def test_cap_fractions_are_the_capsweep_column(self):
+        caps = (0.1, 0.6)
+        r = ck.check_cap_fixed_point(caps=caps, steps=200, seed=18)
+        table = xp.run_capsweep(
+            xp.default_config("capsweep", seed=18, steps=200, cap_grid=caps)
+        )
+        for cap in caps:
+            assert r.measured[f"fraction_cap={cap:g}"] == table.get(f"cap@{cap:g}", "fraction")[0]
+
+    def test_diverged_signature_nets_fail_without_raising(self):
+        config = replace(self.SMALL, steps=100, lr=1e6, loss="mse")
+        r = ck.check_adversarial_geometry_signature(seed=0, n_seeds=2, config=config)
+        assert not r.passed
+        assert r.measured["pgd_signature_seeds"] == 0
+        assert r.measured["pmh_signature_seeds"] == 0
+        for seed in (0, 1):
+            for method in ("erm", "pgd", "pmh"):
+                assert math.isnan(r.measured[f"seed={seed}:tdi_{method}"])
+                assert math.isnan(r.measured[f"seed={seed}:fro_{method}"])
+
+    def test_diverged_cap_nets_fail_without_raising(self, monkeypatch):
+        monkeypatch.setitem(xp.KIND_DEFAULTS["capsweep"], "lr", 1e6)
+        r = ck.check_cap_fixed_point(caps=(0.1, 0.3), steps=50)
+        assert not r.passed
+        assert all(math.isnan(v) for v in r.measured.values())
+
+    @pytest.mark.parametrize("n_seeds", [0, -1])
+    def test_signature_needs_a_seed(self, n_seeds):
+        with pytest.raises(ValidationError, match="n_seeds"):
+            ck.check_adversarial_geometry_signature(n_seeds=n_seeds, config=self.SMALL)
+
+    def test_cap_check_needs_a_cap(self):
+        with pytest.raises(ConfigError, match="nonempty cap grid"):
+            ck.check_cap_fixed_point(caps=())
 
 
 class TestBulkChecks:

@@ -4,13 +4,14 @@ package sources.
 Each demo is copied into a temporary directory and run there in a fresh
 interpreter with ``PYTHONPATH`` pointing at ``src``, so files a demo writes
 next to itself land in the temporary directory.  All five take about 45 s,
-so those runs are marked slow; a quick test checks that every name a demo
-imports from the package exists.
+so those runs are marked slow; a quick test checks that every name a demo,
+or a ```python block of the README, imports from the package exists.
 """
 
 import ast
 import importlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,16 +20,29 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = sorted(f for f in os.listdir(os.path.join(ROOT, "demos")) if f.endswith(".py"))
+with open(os.path.join(ROOT, "README.md")) as _f:
+    README_BLOCKS = {
+        f"README.md:python-{i}": code
+        for i, code in enumerate(re.findall(r"^```python\n(.*?)^```", _f.read(), re.M | re.S), 1)
+    }
 
 
 def test_all_five_demos_found():
     assert len(DEMOS) == 5
 
 
-@pytest.mark.parametrize("demo", DEMOS)
+def test_readme_has_python_blocks():
+    assert len(README_BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("demo", DEMOS + list(README_BLOCKS))
 def test_demo_imports_resolve(demo):
-    with open(os.path.join(ROOT, "demos", demo)) as f:
-        tree = ast.parse(f.read(), demo)
+    if demo in README_BLOCKS:
+        source = README_BLOCKS[demo]
+    else:
+        with open(os.path.join(ROOT, "demos", demo)) as f:
+            source = f.read()
+    tree = ast.parse(source, demo)
     missing = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

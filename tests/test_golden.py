@@ -146,7 +146,7 @@ PRODUCERS = {
 }
 
 DIGESTS = {
-    "adversarial_seeds:json": "5bdf7dd668695ae2e90d538258346a748fae3428b7836bac4f89dfd4bb84acae",
+    "adversarial_seeds:json": "db99e719349a58f77f8bbe0c63fad6feff47b1851f6e75a9482a38f9a7072712",
     "capsweep:csv": "4199ffdf3623f098fb44480f517bd114de20f907f14fa9543e2771b98af35b30",
     "capsweep:json": "1c173630e8aef1ede08ed880686824ca5b86067a08eed76c4d2ef7bfd4e9b50f",
     "compare:csv": "bc6183638e6e4667d321b4ba798e69bab5b45cd96d18e08a89e98486440dd9c6",
@@ -157,7 +157,7 @@ DIGESTS = {
     "diagnose:json": "a331033c57d65ed90e5c5e57061747b050c2de994e70c67fb567233fd709eca5",
     "multiscale:csv": "be7fa5729d60bc0e2fe10162bc36871f5ebc6aa1e69a2f224acc22692c4054a8",
     "multiscale:json": "78f43ad73c59c4310ea8bf15fd095a455b8bda65f68ac397ee81007ed0067404",
-    "reports:adversarial": "a23899eb11338cdeedf48c05cdbd6fac6b66cdeedc14d6eac1a91606c75eb571",
+    "reports:adversarial": "eefd78785d9ea1373bdef2dd7c023bce5201db4accbbf4cfc3f143b5891168f6",
     "reports:bulk": "fa1b544529991deec970ef130fa6046940b18f12e69fbef5db0605365be2be1d",
     "reports:cap": "af5502c490fdfd970434b08f46f426e92b3a71433556d7d8dc787dabe0e22d09",
     "reports:training_free": "a8373f6095721aff0278687ee22991bcdb385855ff71aa543a5d77ff56ed2187",
