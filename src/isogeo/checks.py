@@ -27,6 +27,8 @@ import numpy as np
 from . import data as dt
 from ._atomic import atomic_write
 from .diagnostics import (
+    directional_sensitivity,
+    jac_frobenius,
     jacobian_lipschitz_fd,
     linearization_remainder,
     lipschitz_track,
@@ -34,13 +36,7 @@ from .diagnostics import (
     nuisance_subspace,
 )
 from .errors import ConfigError, UndertrainedModelError, ValidationError
-from .network import (
-    Layer,
-    MlpEncoderDecoder,
-    NetSpec,
-    batch_encoder_jacobians,
-    forward_with_trace,
-)
+from .network import Layer, MlpEncoderDecoder, NetSpec, forward_with_trace, tangents
 from .experiments import (
     ExperimentConfig, compare_metrics, default_config, run_capsweep, train_stacks
 )
@@ -560,10 +556,10 @@ def check_nuisance_sensitivity_floor(
             f"task loss {mse:.6f} exceeds 1.05 x optimum {optimum:.6f}", measured_loss=mse
         )
     lip = lipschitz_track(net).value
-    jac = batch_encoder_jacobians(net, batch.x[:512])
-    fro2, fro2_se, _ = mean_se(np.sum(jac**2, axis=(1, 2)))
+    x_jac = batch.x[:512]
+    fro2, fro2_se, jac_rows = jac_frobenius(net, x_jac)
     w_n_full = np.concatenate([np.zeros(model.d_s), model.w_n])
-    sens, sens_se, _ = mean_se(np.linalg.norm(jac @ w_n_full, axis=1))
+    sens, sens_se, _ = mean_se(directional_sensitivity(net, x_jac, w_n_full))
     opt_gap = float(np.sqrt(max(0.0, mse - optimum)))
     drift_lin = sigma**2 * fro2
     drift_bound = sigma**2 * model.rho**2 / lip**2
@@ -586,7 +582,7 @@ def check_nuisance_sensitivity_floor(
             "directional_slack": slack,
         },
         se={"frobenius_sq": fro2_se, "directional_sensitivity": sens_se},
-        n_samples={"eval_rows": eval_rows, "jacobian_rows": 512},
+        n_samples={"eval_rows": eval_rows, "jacobian_rows": jac_rows},
         seed=seed,
         detail="ERM-trained linear encoder keeps nuisance-direction sensitivity",
     )
@@ -602,9 +598,10 @@ def check_proper_loss_drift_floor(
 
     Delta = E_x KL(p(y|x) || p(y|s)) by exact enumeration; a small tanh
     classifier trained by cross-entropy on the toy must satisfy
-    sigma^2 E||J||_F^2 >= sigma^2 Delta / L^2 - 3 SE.  Also verifies the
-    enumeration against an explicit 8-cell hand sum and the monotonicity of
-    Delta in the dependence strength.
+    sigma^2 E||J||_F^2 >= sigma^2 Delta / L^2, with E||J||_F^2 the exact
+    probability-weighted sum over the toy's support, so no SE allowance
+    enters.  Also verifies the enumeration against an explicit 8-cell hand
+    sum and the monotonicity of Delta in the dependence strength.
     """
     toy = toy or dependent_toy()
     delta_exact = toy.kl_gap()
@@ -631,8 +628,8 @@ def check_proper_loss_drift_floor(
     )
     net, _ = train(cfg, spec, toy.batch_source())
     x_cells, weights = toy.support_points()
-    jac = batch_encoder_jacobians(net, x_cells)
-    fro2 = float(np.sum(weights * np.sum(jac**2, axis=(1, 2))))
+    sq = [np.sum(t * t, axis=-1) for t in tangents(net, x_cells, np.eye(spec.input_dim))]
+    fro2 = float(np.sum(weights * np.stack(sq, axis=-1).sum(axis=-1)))
     lip = lipschitz_track(net).value
     lhs = sigma**2 * fro2
     rhs = sigma**2 * delta_exact / lip**2

@@ -14,7 +14,7 @@ with delta ~ N(0, sigma^2 I).  The sigma -> 0 limit is probed at sigma=0.01,
 well below any training perturbation; the result records the probe scale
 actually used.  Denominators always use clean inputs.  The same draws give
 the embedding drift, the unnormalized final-layer displacement.  Jacobian
-reductions are exact, from forward-mode tangents (network.tangent_sq_norms).
+reductions are exact, from forward-mode tangents (network.tangents).
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ import numpy as np
 from ._atomic import atomic_write
 from .errors import DegenerateDirectionError, ValidationError
 from .linalg import as_matrix, as_vector, gram_schmidt_project_out
-from .network import (
-    MlpEncoderDecoder,
-    batch_encoder_jacobians,
-    encoder_forward,
-    input_gradient,
-    tangent_sq_norms,
-)
+from .network import MlpEncoderDecoder, encoder_forward, input_gradient, tangents
 from .rng import RngState, choice_without_replacement, normal
 
 TDI_ZERO_PROBE = 0.01  # probe scale standing in for the sigma -> 0 limit
@@ -143,11 +137,18 @@ def linearization_remainder(
         raise ValidationError("mc_draws must be >= 1")
     x = as_matrix(np.atleast_2d(x), "x")
     rep_c = encoder_forward(net, x)[-1]
-    jac = batch_encoder_jacobians(net, x)  # (n, rep, d)
+    delta = None
+
+    def draws():
+        nonlocal rng, delta
+        for _ in range(mc_draws):
+            delta, rng = normal(rng, x.shape, sigma)
+            yield delta
+
     diffs = np.zeros(mc_draws)
-    for j in range(mc_draws):
-        delta, rng = normal(rng, x.shape, sigma)
-        lin = np.sum(np.einsum("nrd,nd->nr", jac, delta) ** 2, axis=1)
+    # tangents reads one draw per yield, so delta is the draw of jd = J delta
+    for j, jd in enumerate(tangents(net, x, draws())):
+        lin = np.sum(jd * jd, axis=1)
         disp_p = np.sum((encoder_forward(net, x + delta)[-1] - rep_c) ** 2, axis=1)
         disp_m = np.sum((encoder_forward(net, x - delta)[-1] - rep_c) ** 2, axis=1)
         diffs[j] = float(np.mean(0.5 * (disp_p + disp_m) - lin))
@@ -158,16 +159,19 @@ def jac_frobenius(net: MlpEncoderDecoder, x) -> Estimate:
     """Exact squared Jacobian Frobenius norm ||J_phi(x)||_F^2 per batch row,
     the sum of the squared tangent norms along every input coordinate; mean
     and SE over rows."""
-    return mean_se(tangent_sq_norms(net, x, np.eye(net.input_dim)).sum(axis=-1))
+    sq = [np.sum(t * t, axis=-1) for t in tangents(net, x, np.eye(net.input_dim))]
+    return mean_se(np.stack(sq, axis=-1).sum(axis=-1))
 
 
 def directional_sensitivity(net: MlpEncoderDecoder, x, w) -> np.ndarray:
-    """Exact ||J_phi(x) w|| per batch row."""
+    """Exact ||J_phi(x) w|| per batch row (per model and row for a stack);
+    a float for a single 1-D row."""
     w = as_vector(w, "w")
     if abs(np.linalg.norm(w) - 1.0) > 1e-10:
         raise ValidationError("probe direction w must be unit-norm within 1e-10")
-    vals = np.sqrt(tangent_sq_norms(net, x, w)[:, 0])
-    return vals if np.asarray(x).ndim == 2 else float(vals[0])
+    (t,) = tangents(net, x, [w])
+    vals = np.sqrt(np.sum(t * t, axis=-1))
+    return float(vals[0]) if np.ndim(x) == 1 else vals
 
 
 def anisotropy_index(net: MlpEncoderDecoder, x, w) -> float:
@@ -215,19 +219,25 @@ def jacobian_lipschitz_fd(
 
     Max over probe pairs of ||J(x) - J(x')||_F / ||x - x'||, with pairs at
     the given distance around batch rows.  The max is biased high, which is
-    the conservative direction for remainder-bound checks.
+    the conservative direction for remainder-bound checks.  Both ends of
+    every pair go through one tangent pass, column J e_k by column.
     """
+    if n_pairs < 1:
+        raise ValidationError(f"n_pairs must be >= 1, got {n_pairs}")
+    if not distance > 0:
+        raise ValidationError(f"distance must be > 0, got {distance}")
     x = as_matrix(np.atleast_2d(x), "x")
-    best = 0.0
+    bases, steps = [], []
     for _ in range(n_pairs):
         idx, rng = choice_without_replacement(rng, x.shape[0], 1)
-        base = x[idx[0]]
         direction, rng = normal(rng, x.shape[1])
-        direction = direction / np.linalg.norm(direction) * distance
-        j0 = batch_encoder_jacobians(net, base[None, :])[0]
-        j1 = batch_encoder_jacobians(net, (base + direction)[None, :])[0]
-        best = max(best, float(np.linalg.norm(j1 - j0) / np.linalg.norm(direction)))
-    return best, rng
+        bases.append(x[idx[0]])
+        steps.append(direction / np.linalg.norm(direction) * distance)
+    bases, steps = np.array(bases), np.array(steps)
+    ends = np.concatenate([bases, bases + steps])
+    sq = sum(np.sum((t[n_pairs:] - t[:n_pairs]) ** 2, axis=-1)
+             for t in tangents(net, ends, np.eye(x.shape[1])))
+    return float(np.max(np.sqrt(sq) / np.linalg.norm(steps, axis=1))), rng
 
 
 def nuisance_subspace(
@@ -272,7 +282,7 @@ def nuisance_subspace(
     deflated = 0.5 * (deflated + deflated.T)
     _, vecs = np.linalg.eigh(deflated)  # ascending eigenvalues
     top = vecs[:, ::-1][:, :r].T  # rows are directions, largest first
-    sens = np.array([float(np.mean(col)) for col in tangent_sq_norms(net, x, top).T])
+    sens = np.array([float(np.mean(np.sum(t * t, axis=-1))) for t in tangents(net, x, top)])
     return top, sens
 
 

@@ -7,7 +7,8 @@ derivative, which the curvature-remainder checks rely on.  The decoder is a
 single linear layer so its Lipschitz constant is exactly its spectral norm.
 
 The analytic Jacobian of the encoder at x is the per-layer chain product
-``diag(act'(a_L)) W_L ... diag(act'(a_1)) W_1``; gradients use the exact
+``diag(act'(a_L)) W_L ... diag(act'(a_1)) W_1``; :func:`tangents` applies it
+to input directions in forward mode, and gradients use the exact
 reverse-mode chain rule for the same graph.
 
 A stack of K networks of one shape (:func:`stack_networks`) carries a leading
@@ -355,42 +356,34 @@ def input_gradient(net: MlpEncoderDecoder, x, y, loss: str = "mse") -> np.ndarra
     return dh if x.ndim > 1 else dh[0]
 
 
-def batch_encoder_jacobians(net: MlpEncoderDecoder, x) -> np.ndarray:
-    """Analytic encoder Jacobians for every row: shape (n, rep_dim, d_in)."""
-    x = as_matrix(np.atleast_2d(x), "x")
-    trace = encoder_forward(net, x)
-    jac = None
-    for layer, z in zip(net.encoder, trace):
-        deriv = _act_deriv_from_output(z, layer.activation)  # (n, out)
-        if jac is None:
-            jac = deriv[:, :, None] * layer.weight[None, :, :]
-        else:
-            jac = deriv[:, :, None] * np.einsum("oi,nid->nod", layer.weight, jac)
-    return jac
+def tangents(net: MlpEncoderDecoder, x, directions):
+    """Exact forward-mode tangents J_phi(x) v, one yield per direction v.
 
-
-def tangent_sq_norms(net: MlpEncoderDecoder, x, directions) -> np.ndarray:
-    """Exact ||J_phi(x_i) v_j||^2 for every row x_i and every row v_j of
-    ``directions``, shape x.shape[:-1] + (k,): forward-mode tangents
-    ``t = (t @ W.T) * act'``, one direction at a time, so memory stays at one
-    activation trace and the (n, rep_dim, d_in) Jacobian stack is never built."""
+    A direction is a (d_in,) vector shared by every row, or one direction
+    per row with the shape of ``x``; each yield has shape
+    x.shape[:-1] + (rep_dim,).  One encoder forward serves every direction:
+    its private trace becomes the tanh derivatives in place, and each
+    direction goes through the layers as ``t = (t @ W.T) * act'``, so memory
+    stays at one activation trace and no (n, rep_dim, d_in) Jacobian stack
+    is built.  ``directions`` is read lazily, one direction per yield.
+    """
     x = _as_input(net, x)
-    directions = as_matrix(np.atleast_2d(directions), "directions")
-    if directions.shape[1] != net.input_dim:
-        raise ShapeError(f"directions have {directions.shape[1]} columns, expected {net.input_dim}")
     derivs = _encoder_trace(net, x)
     for layer, z in zip(net.encoder, derivs):
         if layer.activation == "tanh":
             np.subtract(1.0, z * z, out=z)  # tanh' = 1 - z^2, in place
-    out = np.empty(x.shape[:-1] + (directions.shape[0],))
-    for j, v in enumerate(directions):
-        t = v[None, :]
+    for v in directions:
+        t = np.asarray(v, dtype=np.float64)
+        if t.shape == x.shape[-1:]:
+            t = t[None, :]
+        elif t.shape != x.shape:
+            raise ShapeError(f"direction shape {t.shape} is neither {x.shape[-1:]} nor {x.shape}")
         for layer, deriv in zip(net.encoder, derivs):
             t = t @ layer.weight.swapaxes(-1, -2)
             if layer.activation == "tanh":
                 t = t * deriv
-        out[..., j] = np.sum(t * t, axis=-1)
-    return out
+        # an all-identity encoder leaves a shared direction's tangent one row
+        yield np.broadcast_to(t, x.shape[:-1] + (net.rep_dim,))
 
 
 def sgd_step(net: MlpEncoderDecoder, grads: ParamGrads, lr: float) -> None:

@@ -38,6 +38,7 @@ from .network import (
     MlpEncoderDecoder,
     NetSpec,
     ParamGrads,
+    _per_sample_pred_grad,
     backward,
     encoder_backward,
     encoder_forward,
@@ -46,7 +47,6 @@ from .network import (
     input_gradient,
     label_mask,
     sgd_step,
-    softmax,
     stack_networks,
 )
 from .rng import RngState, derive, normal_stack, uniform
@@ -58,7 +58,8 @@ OBJECTIVES = ("erm", "pgd", "pmh")
 # Losses (batch-mean value plus gradient on the prediction)
 # ---------------------------------------------------------------------------
 # A prediction of shape (n, out) gives a float value; a stack's (K, n, out)
-# gives one value per member.
+# gives one value per member.  The gradient is the per-sample one that
+# input_gradient also uses, over n.
 
 
 def _value(v):
@@ -66,12 +67,9 @@ def _value(v):
 
 
 def mse_loss(pred: np.ndarray, y):
-    target = np.asarray(y, dtype=np.float64)
-    if target.ndim == pred.ndim - 1:
-        target = target[..., None]
-    diff = pred - target
+    grad = _per_sample_pred_grad(pred, y, "mse")  # 2 (pred - y)
     n = pred.shape[-2]
-    return _value((diff**2).sum(axis=(-2, -1)) / n), 2.0 * diff / n
+    return _value(((0.5 * grad) ** 2).sum(axis=(-2, -1)) / n), grad / n
 
 
 def cross_entropy_loss(logits: np.ndarray, labels):
@@ -81,9 +79,7 @@ def cross_entropy_loss(logits: np.ndarray, labels):
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     hot = label_mask(labels, logits.shape[-1])
     value = _value(-logp[hot].reshape(labels.shape).mean(axis=-1))
-    grad = softmax(logits)
-    grad -= hot
-    return value, grad / n
+    return value, _per_sample_pred_grad(logits, labels, "cross-entropy") / n
 
 
 _LOSSES = {"mse": mse_loss, "cross-entropy": cross_entropy_loss}

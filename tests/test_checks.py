@@ -11,7 +11,7 @@ from isogeo import checks as ck
 from isogeo import experiments as xp
 from isogeo.data import GaussianNuisanceModel
 from isogeo.errors import ConfigError, UndertrainedModelError, ValidationError
-from isogeo.network import NetSpec, init_network
+from isogeo.network import Layer, MlpEncoderDecoder, NetSpec, init_network
 from isogeo.rng import RngState
 
 
@@ -139,6 +139,20 @@ class TestMainChecks:
         r = ck.check_nuisance_sensitivity_floor(model=model, seed=0)
         assert r.passed
         assert r.bounds["drift_floor"] == 0.0
+
+    @pytest.mark.parametrize("eval_rows, jacobian_rows", [(100, 100), (600, 512)])
+    def test_sensitivity_floor_counts_the_rows_it_measures(self, eval_rows, jacobian_rows):
+        # the exact Bayes net: identity encoder, decoder (w_s, rho w_n)
+        model = ck.default_model()
+        d = model.d_in
+        net = MlpEncoderDecoder(
+            [Layer(np.eye(d), np.zeros(d), "identity")],
+            Layer(np.concatenate([model.w_s, model.rho * model.w_n])[None, :], np.zeros(1),
+                  "identity"),
+        )
+        r = ck.check_nuisance_sensitivity_floor(model=model, net=net, eval_rows=eval_rows)
+        assert r.n_samples == {"eval_rows": eval_rows, "jacobian_rows": jacobian_rows}
+        assert r.passed
 
     def test_bound_scales_quadratically_in_rho(self):
         # doubling rho quadruples the reported floor exactly (same L by

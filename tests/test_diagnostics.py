@@ -22,8 +22,9 @@ from isogeo.network import (
     Layer,
     MlpEncoderDecoder,
     NetSpec,
-    batch_encoder_jacobians,
     init_network,
+    stack_networks,
+    tangents,
 )
 from isogeo.rng import RngState, derive, gaussian_matrix, normal
 
@@ -35,6 +36,11 @@ def linear_encoder(w, dec=None):
         [Layer(w, np.zeros(rep), "identity")],
         Layer(dec_w, np.zeros(dec_w.shape[0]), "identity"),
     )
+
+
+def jacobian(net, x):
+    """(n, rep, d) Jacobians from the kernel's columns J e_k."""
+    return np.stack(list(tangents(net, x, np.eye(net.input_dim))), axis=-1)
 
 
 def tanh_net(seed=1, d=6, hidden=(10,), rep=5):
@@ -140,6 +146,14 @@ class TestDrift:
         bound = 1.5 * beta**2 * x.shape[1] ** 2 * sigma**4
         assert abs(rem.value) <= bound + 3 * rem.se
 
+    def test_lipschitz_needs_pairs_at_a_positive_distance(self):
+        net = tanh_net()
+        x, _ = normal(RngState(30), (4, 6))
+        for kwargs in ({"n_pairs": 0}, {"distance": 0.0}, {"distance": -0.1},
+                       {"distance": float("nan")}):
+            with pytest.raises(ValidationError):
+                jacobian_lipschitz_fd(net, x, RngState(31), **kwargs)
+
     def test_linear_remainder_exactly_zero(self):
         w, _ = gaussian_matrix(RngState(27), 4, 5, 1.0)
         net = linear_encoder(w)
@@ -168,7 +182,7 @@ class TestJacFrobenius:
     def test_tanh_matches_analytic_jacobians(self, hidden):
         net = tanh_net(seed=33, hidden=hidden)
         x, _ = normal(RngState(34), (64, 6))
-        rows = np.sum(batch_encoder_jacobians(net, x) ** 2, axis=(1, 2))
+        rows = np.sum(jacobian(net, x) ** 2, axis=(1, 2))
         res = jac_frobenius(net, x)
         assert res.value == pytest.approx(float(np.mean(rows)), rel=1e-12)
         assert res.se == pytest.approx(float(rows.std(ddof=1) / np.sqrt(64)), rel=1e-10)
@@ -180,6 +194,18 @@ class TestJacFrobenius:
         tracemalloc.start()
         try:
             jac_frobenius(net, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 * 16 * 16 * 8
+
+    def test_remainder_peak_memory_below_one_jacobian_stack(self):
+        # per-row tangents of one draw at a time, whatever the draw count
+        net, _ = init_network(NetSpec(16, (32,), 16), RngState(35))
+        x, _ = normal(RngState(36), (4096, 16))
+        tracemalloc.start()
+        try:
+            linearization_remainder(net, x, 0.1, 8, RngState(37))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -210,9 +236,19 @@ class TestDirectionalSensitivity:
         x, _ = normal(RngState(43), (32, 6))
         v, _ = normal(RngState(44), 6)
         v /= np.linalg.norm(v)
-        exact = np.linalg.norm(batch_encoder_jacobians(net, x) @ v, axis=1)
+        exact = np.linalg.norm(jacobian(net, x) @ v, axis=1)
         np.testing.assert_allclose(directional_sensitivity(net, x, v), exact, rtol=1e-12)
         assert directional_sensitivity(net, x[0], v) == pytest.approx(exact[0], rel=1e-12)
+
+    def test_stack_slices_equal_each_net(self):
+        nets = [tanh_net(seed=46 + k) for k in range(3)]
+        x, r = normal(RngState(49), (3, 7, 6))
+        v, _ = normal(r, 6)
+        v /= np.linalg.norm(v)
+        got = directional_sensitivity(stack_networks(nets), x, v)
+        assert got.shape == (3, 7)
+        for k, net in enumerate(nets):
+            assert np.array_equal(got[k], directional_sensitivity(net, x[k], v))
 
     def test_requires_unit_direction(self):
         net = tanh_net()

@@ -9,14 +9,13 @@ from isogeo.network import (
     MlpEncoderDecoder,
     NetSpec,
     backward,
-    batch_encoder_jacobians,
     forward_with_trace,
     init_network,
     input_gradient,
     load_params,
     save_params,
     stack_networks,
-    tangent_sq_norms,
+    tangents,
 )
 from isogeo.objectives import cross_entropy_loss, mse_loss
 from isogeo.rng import RngState, normal
@@ -171,6 +170,11 @@ class TestBackward:
             backward(net, x, None, np.zeros((3, 1)))
 
 
+def jacobian(net, x):
+    """(n, rep, d) Jacobians from the kernel's columns J e_k."""
+    return np.stack(list(tangents(net, x, np.eye(net.input_dim))), axis=-1)
+
+
 class TestJacobians:
     def test_linear_stack_is_matrix_product(self):
         w1, r = normal(RngState(8), (4, 3))
@@ -179,7 +183,7 @@ class TestJacobians:
             [Layer(w1, np.zeros(4), "identity"), Layer(w2, np.zeros(2), "identity")],
             Layer(np.ones((1, 2)), np.zeros(1), "identity"),
         )
-        j = batch_encoder_jacobians(net, np.ones(3)[None])[0]
+        j = jacobian(net, np.ones(3)[None])[0]
         assert np.allclose(j, w2 @ w1, atol=1e-14)
 
     def test_tanh_at_origin_is_weight_matrix(self):
@@ -187,14 +191,14 @@ class TestJacobians:
         net = MlpEncoderDecoder(
             [Layer(w, np.zeros(4), "tanh")], Layer(np.ones((1, 4)), np.zeros(1), "identity")
         )
-        j = batch_encoder_jacobians(net, np.zeros(3)[None])[0]
+        j = jacobian(net, np.zeros(3)[None])[0]
         assert np.allclose(j, w, atol=1e-14)
 
     def test_matches_finite_differences(self):
         for seed in range(5):
             net = small_net(seed=40 + seed)
             x, _ = normal(RngState(50 + seed), 6)
-            j = batch_encoder_jacobians(net, x[None])[0]
+            j = jacobian(net, x[None])[0]
             h = 1e-6
             from isogeo.network import encoder_forward
 
@@ -213,7 +217,7 @@ class TestJacobians:
         # ||J||_F^2 = ||J_s||_F^2 + ||J_n||_F^2 exactly for a column split
         net = small_net(seed=60, input_dim=8)
         x, _ = normal(RngState(61), 8)
-        j = batch_encoder_jacobians(net, x[None])[0]
+        j = jacobian(net, x[None])[0]
         total = np.sum(j**2)
         left = np.sum(j[:, :4] ** 2)
         right = np.sum(j[:, 4:] ** 2)
@@ -222,31 +226,41 @@ class TestJacobians:
     def test_batch_jacobians_match_single(self):
         net = small_net(seed=62)
         x, _ = normal(RngState(63), (4, 6))
-        batch = batch_encoder_jacobians(net, x)
+        batch = jacobian(net, x)
         for i in range(4):
-            assert np.allclose(batch[i], batch_encoder_jacobians(net, x[i][None])[0], atol=1e-14)
+            assert np.allclose(batch[i], jacobian(net, x[i][None])[0], atol=1e-14)
 
 
 class TestTangents:
     def test_match_jacobian_stack_per_row_and_direction(self):
+        # a shared direction v and a per-row direction both give J(x_i) v_i
         net = small_net(seed=64, hidden=(10, 7))
         x, r = normal(RngState(65), (16, 6))
-        v, _ = normal(r, (3, 6))
-        got = tangent_sq_norms(net, x, v)
-        exact = np.sum(np.einsum("nrd,kd->nkr", batch_encoder_jacobians(net, x), v) ** 2, axis=2)
-        assert got.shape == (16, 3)
-        np.testing.assert_allclose(got, exact, rtol=1e-12)
+        v, r = normal(r, (3, 6))
+        per_row, _ = normal(r, (16, 6))
+        jac = jacobian(net, x)
+        got = list(tangents(net, x, [*v, per_row]))
+        assert [t.shape for t in got] == [(16, 5)] * 4
+        exact = [*np.moveaxis(jac @ v.T, -1, 0), (jac @ per_row[:, :, None])[..., 0]]
+        for t, e in zip(got, exact):
+            np.testing.assert_allclose(t, e, rtol=1e-12, atol=1e-15)
 
     def test_stack_slices_equal_each_net(self):
         nets = [small_net(seed=66 + k) for k in range(2)]
-        x, _ = normal(RngState(68), (2, 5, 6))
-        got = tangent_sq_norms(stack_networks(nets), x, np.eye(6))
+        x, r = normal(RngState(68), (2, 5, 6))
+        per_row, _ = normal(r, (2, 5, 6))
+        directions = [*np.eye(6), per_row]
+        got = list(tangents(stack_networks(nets), x, directions))
         for k, net in enumerate(nets):
-            assert np.array_equal(got[k], tangent_sq_norms(net, x[k], np.eye(6)))
+            dirs_k = [*np.eye(6), per_row[k]]
+            for t, t_k in zip(got, tangents(net, x[k], dirs_k)):
+                assert np.array_equal(t[k], t_k)
 
     def test_direction_width_must_match_input(self):
         with pytest.raises(ShapeError):
-            tangent_sq_norms(small_net(), np.zeros((2, 6)), np.ones((1, 5)))
+            next(tangents(small_net(), np.zeros((2, 6)), np.ones((1, 5))))
+        with pytest.raises(ShapeError):
+            next(tangents(small_net(), np.zeros((2, 6)), [np.ones((3, 6))]))
 
 
 class TestInputGradient:
