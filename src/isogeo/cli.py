@@ -9,7 +9,9 @@
 
 Exit codes: 0 success, 1 at least one verification check failed,
 2 configuration error (an unwritable output path included, which is found
-before any work).  ISOGEO_THREADS caps the experiment worker count.
+before any work).  ISOGEO_THREADS caps the experiment worker count.  A
+command runs OpenBLAS on one thread and gives back the caller's count when
+it ends.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import sys
 
 from . import checks as ck
 from . import experiments as xp
+from ._blas import one_thread
 from .diagnostics import diagnose
 from .errors import ConfigError, IsogeoError, ValidationError
 from .network import load_params
@@ -132,11 +135,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "diagnose":
-            return _cmd_diagnose(args)
-        return _cmd_experiment(args)
+        with one_thread():
+            if args.command == "verify":
+                return _cmd_verify(args)
+            if args.command == "diagnose":
+                return _cmd_diagnose(args)
+            return _cmd_experiment(args)
     except (ConfigError, ValidationError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import data as dt
 from ._atomic import atomic_write
+from ._blas import set_one_thread
 from .diagnostics import jac_frobenius, lipschitz_track, tdi
 from .errors import ConfigError, TrainingDivergedError, ValidationError
 from .network import NetSpec, forward_with_trace
@@ -389,13 +390,14 @@ def _run_cells(fn, config: "ExperimentConfig", cell_stacks: list) -> list:
     and concatenate the per-cell results in input order.
 
     Each cell owns a derived seed and trains as it would alone, so neither
-    the stacking nor the scheduling can change results.
+    the stacking nor the scheduling can change results.  Each worker runs
+    OpenBLAS on one thread, so that it keeps to one core.
     """
     workers = _worker_count(len(cell_stacks))
     if workers <= 1:
         results = [fn(config, cells) for cells in cell_stacks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=set_one_thread) as pool:
             results = list(pool.map(fn, [config] * len(cell_stacks), cell_stacks))
     return [res for stack_results in results for res in stack_results]
 

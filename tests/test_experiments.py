@@ -7,12 +7,32 @@ import sys
 import numpy as np
 import pytest
 
-from isogeo import cli
+from isogeo import _blas, cli
 from isogeo import experiments as xp
 from isogeo.errors import ConfigError
 
 # The CLI runs in a child process, which imports isogeo from the source tree.
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count getter, with the count set to 2 for the test
+    and the caller's count given back after it; skips without OpenBLAS."""
+    api = _blas._openblas()
+    if api is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, put = api
+    before = get()
+    put(2)
+    try:
+        yield get
+    finally:
+        put(before)
+
+
+def _blas_thread_counts(config, cells):
+    return [_blas._openblas()[0]() for _ in cells]
 
 
 def small_config(**overrides):
@@ -292,6 +312,11 @@ class TestRunners:
         t_parallel = xp.run_experiment(cfg)
         assert t_serial.cells == t_parallel.cells
 
+    def test_pool_workers_run_blas_on_one_thread(self, monkeypatch, blas_threads):
+        monkeypatch.setenv("ISOGEO_THREADS", "2")
+        assert xp._run_cells(_blas_thread_counts, small_config(), [[0], [1]]) == [1, 1]
+        assert blas_threads() == 2
+
     def test_stacks_hold_at_most_stack_size_and_cover_the_workers(self):
         cells = list(range(32))
         assert [len(s) for s in xp.stacks(cells)] == [8, 8, 8, 8]
@@ -489,6 +514,63 @@ class TestCli:
         assert "config error" in err
         assert "Traceback" not in err
         assert "[PASS]" not in out and "[FAIL]" not in out
+
+    @pytest.mark.parametrize(
+        "error, rc",
+        [(None, 0), (ConfigError("bad"), 2), (KeyError("bug"), None)],
+        ids=["exit-0", "exit-2", "raises"],
+    )
+    def test_command_runs_blas_on_one_thread_and_restores_the_count(
+        self, monkeypatch, blas_threads, error, rc
+    ):
+        inside = []
+
+        def command(args):
+            inside.append(blas_threads())
+            if error is not None:
+                raise error
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_verify", command)
+        if rc is None:
+            with pytest.raises(KeyError):
+                cli.main(["verify"])
+        else:
+            assert cli.main(["verify"]) == rc
+        assert inside == [1]
+        assert blas_threads() == 2
+
+    def test_without_openblas_a_command_runs_as_before(self, monkeypatch, capsys):
+        argv = ["verify", "--checks", "subblock_inequality"]
+        assert cli.main(argv) == 0
+        want = capsys.readouterr()
+        monkeypatch.setattr(_blas, "_openblas", lambda: None)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == want
+
+    def test_diagnose_bytes_do_not_depend_on_blas_threads(
+        self, tmp_path, monkeypatch, blas_threads
+    ):
+        """At 4,096 rows OpenBLAS splits each product over its threads; the
+        report must not depend on how many there are."""
+        from isogeo.network import NetSpec, init_network, save_params
+        from isogeo.rng import RngState
+
+        spec = NetSpec(input_dim=16, hidden=(32,), rep_dim=16, out_dim=2, activation="tanh")
+        model = str(tmp_path / "net.bin")
+        save_params(init_network(spec, RngState(3))[0], model)
+
+        def report(name):
+            out = tmp_path / name / "diag.json"
+            out.parent.mkdir()
+            argv = ["diagnose", "--model", model, "--sigma-grid", "0.05", "0.4",
+                    "--batch", "4096", "--mc-draws", "4", "--out", str(out)]
+            assert cli.main(argv) == 0
+            return out.read_bytes(), out.with_suffix(".csv").read_bytes()
+
+        one = report("one")
+        monkeypatch.setattr(_blas, "_openblas", lambda: None)  # leaves BLAS at 2 threads
+        assert report("two") == one
 
     @pytest.mark.parametrize("out", ["existing_dir", "missing/reports.json"])
     def test_verify_bad_out_exit_two_before_any_check(self, tmp_path, capsys, out):
