@@ -45,7 +45,7 @@ rank1 = wrap(np.sqrt(d) * np.outer(np.eye(d)[0], v))  # ||.||_F^2 = d, all in on
 print("two encoders with identical Frobenius mass:")
 for name, net in [("isotropic", iso), ("rank-1", rank1)]:
     fro = jac_frobenius(net, x_eval)
-    res, _ = tdi(net, x_eval, 0.1, 32, RngState(2))
+    (res,), _ = tdi(net, x_eval, [0.1], 32, RngState(2))
     a = anisotropy_index(net, x_eval, v)
     print(
         f"  {name:9s}: jac_fro^2 = {fro.value:6.3f}   "
@@ -56,8 +56,9 @@ print("  (anisotropy 1 = all sensitivity in the probe direction; d = spread even
 print("\ndrift of a linear encoder (from TDI's noise draws) matches sigma^2 ||W||_F^2:")
 w, _ = normal(RngState(3), (6, d))
 net = wrap(w)
-for sigma in (0.05, 0.1, 0.2):
-    est = tdi(net, x_eval, sigma, 64, RngState(4))[0].drift
+sigmas = (0.05, 0.1, 0.2)
+for sigma, res in zip(sigmas, tdi(net, x_eval, sigmas, 64, RngState(4))[0]):
+    est = res.drift
     print(
         f"  sigma={sigma:4.2f}: drift = {est.value:8.5f} +- {est.se:.5f}   "
         f"exact = {sigma**2 * np.sum(w**2):8.5f}"

@@ -12,14 +12,18 @@ Gaussian input noise,
 
 with delta ~ N(0, sigma^2 I).  The sigma -> 0 limit is probed at sigma=0.01,
 well below any training perturbation; the result records the probe scale
-actually used.  Denominators always use clean inputs.  The same draws give
-the embedding drift, the unnormalized final-layer displacement.  Jacobian
-reductions are exact, from forward-mode tangents (network.tangents).
+actually used.  Denominators always use clean inputs.  ``tdi`` takes a grid
+of sigmas: each Monte-Carlo draw is one unit draw z, scaled to sigma * z for
+every sigma of the grid, the probe included, so one set of draws serves the
+whole grid.  The same draws give the embedding drift, the unnormalized
+final-layer displacement.  Jacobian reductions are exact, from forward-mode
+tangents (network.tangents).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -68,27 +72,37 @@ class TdiResult:
 def tdi(
     net: MlpEncoderDecoder,
     x,
-    sigma: float,
+    sigmas: Sequence[float],
     mc_draws: int,
     rng: RngState,
-) -> tuple[TdiResult, RngState]:
-    """Trajectory deviation index over an evaluation batch, and the
-    embedding drift from the same draws.
+) -> tuple[list[TdiResult], RngState]:
+    """Trajectory deviation index at each sigma of a grid over an evaluation
+    batch, and the embedding drift from the same draws; one TdiResult per
+    sigma, in grid order.
 
-    The standard error is computed across independent noise draws
-    (conditional on the evaluation batch).  A layer whose clean second
-    moment falls below DEGENERATE_LAYER_TOL raises
+    Draw j makes one unit draw z_j and uses sigma * z_j as the noise of
+    every sigma (a sigma of 0 at the probe scale).  That product has the
+    bits of ``normal(rng_j, x.shape, sigma)``, so each entry equals the
+    one-sigma call from the same rng, and the sigmas of one call share
+    common random numbers.  The standard error is computed across
+    independent noise draws (conditional on the evaluation batch).  A
+    layer whose clean second moment falls below DEGENERATE_LAYER_TOL raises
     DegenerateDirectionError, since the normalization is undefined there.
     The drift is the final layer's unnormalized mean squared displacement
     at the probe scale; for a linear encoder W it equals
-    sigma^2 ||W||_F^2 in expectation.
+    sigma^2 ||W||_F^2 in expectation.  An empty grid, or a sigma that is
+    negative, infinite or NaN, raises ValidationError before any draw.
     """
     if mc_draws < 1:
         raise ValidationError("mc_draws must be >= 1")
-    if sigma < 0:
-        raise ValidationError("sigma must be >= 0")
+    sigmas = [float(s) for s in sigmas]
+    if not sigmas:
+        raise ValidationError("sigmas must hold at least one value")
+    for s in sigmas:
+        if not 0.0 <= s < math.inf:  # NaN fails both comparisons
+            raise ValidationError(f"sigma must be finite and >= 0, got {s}")
     x = as_matrix(np.atleast_2d(x), "x")
-    sigma_probe = TDI_ZERO_PROBE if sigma == 0.0 else float(sigma)
+    probes = [TDI_ZERO_PROBE if s == 0.0 else s for s in sigmas]
     trace_c = encoder_forward(net, x)
     denoms = np.array([float(np.mean(np.sum(z**2, axis=1))) for z in trace_c])
     if np.any(denoms < DEGENERATE_LAYER_TOL):
@@ -96,26 +110,30 @@ def tdi(
         raise DegenerateDirectionError(
             f"layer {bad + 1} has vanishing representation magnitude; TDI undefined"
         )
-    per_draw = np.zeros(mc_draws)
-    drift = np.zeros(mc_draws)
+    per_draw = np.zeros((len(sigmas), mc_draws))
+    drift = np.zeros((len(sigmas), mc_draws))
     for j in range(mc_draws):
-        delta, rng = normal(rng, x.shape, sigma_probe)
-        trace_n = encoder_forward(net, x + delta)
-        disp = [float(np.mean(np.sum((zn - zc) ** 2, axis=1))) for zn, zc in zip(trace_n, trace_c)]
-        per_draw[j] = float(np.mean([m / d for m, d in zip(disp, denoms)]))
-        drift[j] = disp[-1]
-    est = mean_se(per_draw)
-    return (
-        TdiResult(
-            value=est.value,
-            se=est.se,
-            sigma_probe=sigma_probe,
-            sigma_requested=float(sigma),
-            mc_draws=mc_draws,
-            drift=mean_se(drift),
-        ),
-        rng,
-    )
+        unit, rng = normal(rng, x.shape, 1.0)
+        for i, sigma_probe in enumerate(probes):
+            trace_n = encoder_forward(net, x + sigma_probe * unit)
+            disp = [float(np.mean(np.sum((zn - zc) ** 2, axis=1)))
+                    for zn, zc in zip(trace_n, trace_c)]
+            per_draw[i, j] = float(np.mean([m / d for m, d in zip(disp, denoms)]))
+            drift[i, j] = disp[-1]
+    results = []
+    for sigma, sigma_probe, samples, drift_samples in zip(sigmas, probes, per_draw, drift):
+        est = mean_se(samples)
+        results.append(
+            TdiResult(
+                value=est.value,
+                se=est.se,
+                sigma_probe=sigma_probe,
+                sigma_requested=sigma,
+                mc_draws=mc_draws,
+                drift=mean_se(drift_samples),
+            )
+        )
+    return results, rng
 
 
 def linearization_remainder(
@@ -364,20 +382,20 @@ def diagnose(
     run_id: str = "run",
     probe_directions: dict | None = None,
 ) -> DiagnosticsReport:
-    """Assemble a full diagnostics report for one model snapshot; each sigma
-    of the grid (all > 0) gives its TDI and its drift from one set of draws."""
+    """Assemble a full diagnostics report for one model snapshot.  One tdi
+    call over [0, *sigma_grid] (grid values all > 0) gives tdi_at_0 and each
+    sigma's TDI and drift, all from one set of unit draws."""
     if not all(s > 0 for s in sigma_grid):
         raise ValidationError(f"sigma_grid values must be > 0, got {list(sigma_grid)}")
     x_eval = as_matrix(np.atleast_2d(x_eval), "x_eval")
     report = DiagnosticsReport(
         run_id=run_id, mc_draws=mc_draws, eval_rows=x_eval.shape[0], seed=rng.seed
     )
-    zero, rng = tdi(net, x_eval, 0.0, mc_draws, rng)
+    (zero, *grid), _ = tdi(net, x_eval, [0.0, *sigma_grid], mc_draws, rng)
     report.tdi_at_0 = {"value": zero.value, "se": zero.se, "sigma_probe": zero.sigma_probe}
-    for s in sigma_grid:
-        res, rng = tdi(net, x_eval, float(s), mc_draws, rng)
-        report.tdi[float(s)] = (res.value, res.se)
-        report.drift[float(s)] = (res.drift.value, res.drift.se)
+    for res in grid:
+        report.tdi[res.sigma_requested] = (res.value, res.se)
+        report.drift[res.sigma_requested] = (res.drift.value, res.drift.se)
     fro = jac_frobenius(net, x_eval)
     report.jac_fro = {"value": fro.value, "se": fro.se}
     if probe_directions:

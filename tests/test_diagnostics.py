@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from isogeo import diagnostics
 from isogeo.data import GaussianNuisanceModel, sample
 from isogeo.diagnostics import (
     DiagnosticsReport,
@@ -54,7 +55,7 @@ class TestTdi:
         net = linear_encoder(np.eye(d))
         x, _ = normal(RngState(1), (2000, d))
         sigma = 0.1
-        res, _ = tdi(net, x, sigma, 64, RngState(2))
+        (res,), _ = tdi(net, x, [sigma], 64, RngState(2))
         # exact ratio for the identity map: sigma^2 d / E||x||^2
         expected = sigma**2 * d / np.mean(np.sum(x**2, axis=1))
         assert abs(res.value - expected) < 3 * res.se
@@ -66,7 +67,7 @@ class TestTdi:
         )
         x, _ = normal(RngState(3), (10, 4))
         with pytest.raises(DegenerateDirectionError):
-            tdi(net, x, 0.1, 4, RngState(4))
+            tdi(net, x, [0.1], 4, RngState(4))
 
     def test_constant_nonzero_encoder_gives_zero(self):
         # constant output via zero weight + nonzero bias: displacement 0
@@ -75,7 +76,7 @@ class TestTdi:
             Layer(np.ones((1, 3)), np.zeros(1), "identity"),
         )
         x, _ = normal(RngState(5), (10, 4))
-        res, _ = tdi(net, x, 0.1, 4, RngState(6))
+        (res,), _ = tdi(net, x, [0.1], 4, RngState(6))
         assert res.value == 0.0
 
     def test_linear_layer_trace_oracle(self):
@@ -83,14 +84,14 @@ class TestTdi:
         net = linear_encoder(w)
         x, _ = normal(RngState(8), (1000, 6))
         sigma = 0.2
-        res, _ = tdi(net, x, sigma, 64, RngState(9))
+        (res,), _ = tdi(net, x, [sigma], 64, RngState(9))
         expected = sigma**2 * np.sum(w**2) / np.mean(np.sum((x @ w.T) ** 2, axis=1))
         assert abs(res.value - expected) < 3 * res.se
 
     def test_sigma_zero_probes_at_default_scale(self):
         net = tanh_net()
         x, _ = normal(RngState(10), (50, 6))
-        res, _ = tdi(net, x, 0.0, 8, RngState(11))
+        (res,), _ = tdi(net, x, [0.0], 8, RngState(11))
         assert res.sigma_requested == 0.0
         assert res.sigma_probe == 0.01
         assert res.probed_at_zero
@@ -104,9 +105,9 @@ class TestTdi:
         q, _ = np.linalg.qr(g)
         net = linear_encoder(w)
         net_rot = linear_encoder(w @ q.T)
-        res, _ = tdi(net, x, 0.1, 32, RngState(15))
+        (res,), _ = tdi(net, x, [0.1], 32, RngState(15))
         # rotated inputs: same batch expressed in the rotated frame
-        res_rot, _ = tdi(net_rot, x @ q.T, 0.1, 32, RngState(15))
+        (res_rot,), _ = tdi(net_rot, x @ q.T, [0.1], 32, RngState(15))
         # the noise draws differ by the rotation, so allow MC-level slack
         assert abs(res.value - res_rot.value) < 3 * np.hypot(res.se, res_rot.se)
 
@@ -114,7 +115,33 @@ class TestTdi:
         net = tanh_net()
         x, _ = normal(RngState(16), (10, 6))
         with pytest.raises(ValidationError):
-            tdi(net, x, 0.1, 0, RngState(17))
+            tdi(net, x, [0.1], 0, RngState(17))
+
+    @pytest.mark.parametrize(
+        "sigmas", [[], [-0.1], [0.1, float("inf")], [float("nan"), 0.1], [0.0, -0.0, -1e-300]]
+    )
+    def test_bad_sigmas_rejected_before_any_draw(self, sigmas, monkeypatch):
+        # sigma * unit draw would turn inf into NaN noise without a word
+        def no_draw(*args):
+            raise AssertionError("drew noise before validating sigmas")
+
+        monkeypatch.setattr(diagnostics, "normal", no_draw)
+        net = tanh_net()
+        x, _ = normal(RngState(16), (10, 6))
+        with pytest.raises(ValidationError):
+            tdi(net, x, sigmas, 4, RngState(17))
+
+    def test_grid_entries_equal_one_sigma_calls(self):
+        # one unit draw per Monte-Carlo draw serves every sigma, bit for bit
+        net = tanh_net(seed=23)
+        x, _ = normal(RngState(24), (33, 6))
+        grid = [0.0, 0.3, 1e-3, 0.05, 2.0, 0.05]
+        results, nxt = tdi(net, x, grid, 5, RngState(25))
+        assert [r.sigma_requested for r in results] == grid
+        for s, res in zip(grid, results):
+            (alone,), alone_nxt = tdi(net, x, [s], 5, RngState(25))
+            assert res == alone
+            assert alone_nxt == nxt
 
 
 class TestDrift:
@@ -125,7 +152,7 @@ class TestDrift:
             Layer(np.ones((1, 3)), np.zeros(1), "identity"),
         )
         x, _ = normal(RngState(18), (20, 4))
-        res, _ = tdi(net, x, 0.3, 8, RngState(19))
+        (res,), _ = tdi(net, x, [0.3], 8, RngState(19))
         assert res.drift.value == 0.0
 
     def test_linear_trace_oracle(self):
@@ -133,7 +160,7 @@ class TestDrift:
         net = linear_encoder(w)
         x, _ = normal(RngState(21), (200, 6))
         sigma = 0.15
-        res, _ = tdi(net, x, sigma, 128, RngState(22))
+        (res,), _ = tdi(net, x, [sigma], 128, RngState(22))
         assert res.drift.n == 128
         assert abs(res.drift.value - sigma**2 * np.sum(w**2)) < 3 * res.drift.se
 
@@ -395,9 +422,9 @@ class TestDiagnoseReport:
         net = tanh_net(seed=83)
         x, _ = normal(RngState(84), (32, 6))
         report = diagnose(net, x, [0.05, 0.2], RngState(85), mc_draws=4)
-        rng = tdi(net, x, 0.0, 4, RngState(85))[1]
-        for s in (0.05, 0.2):
-            res, rng = tdi(net, x, s, 4, rng)
+        (zero, *grid), _ = tdi(net, x, [0.0, 0.05, 0.2], 4, RngState(85))
+        assert report.tdi_at_0 == {"value": zero.value, "se": zero.se, "sigma_probe": 0.01}
+        for s, res in zip((0.05, 0.2), grid):
             assert report.tdi[s] == (res.value, res.se)
             assert report.drift[s] == (res.drift.value, res.drift.se)
         fro = jac_frobenius(net, x)

@@ -149,12 +149,12 @@ DIGESTS = {
     "adversarial_seeds:json": "db99e719349a58f77f8bbe0c63fad6feff47b1851f6e75a9482a38f9a7072712",
     "capsweep:csv": "4199ffdf3623f098fb44480f517bd114de20f907f14fa9543e2771b98af35b30",
     "capsweep:json": "1c173630e8aef1ede08ed880686824ca5b86067a08eed76c4d2ef7bfd4e9b50f",
-    "compare:csv": "bc6183638e6e4667d321b4ba798e69bab5b45cd96d18e08a89e98486440dd9c6",
-    "compare:json": "32e5104d76943e484071b77de6af14e3451ab7e3d33a60b990c0a593f8092100",
-    "compare_pgd:csv": "fe5b97db9ceaf43ece54762d34c19ccdbf67d131efe7cbd17cef27496680e5d6",
-    "compare_pgd:json": "be91b1696d7e2dd33c0f77fd3698fcb1fee44fdbb1a4b7edd8ddbd74a5e34341",
-    "diagnose:csv": "77f5274e568e66013f622e896d6d387b4ae0ee17bec1f7d8a0149b0bc062771c",
-    "diagnose:json": "a331033c57d65ed90e5c5e57061747b050c2de994e70c67fb567233fd709eca5",
+    "compare:csv": "6e4db6d38edb0b89f9ee81b4c1693f769e09216f602894812a8cb1d6bd43b95a",
+    "compare:json": "547b0e47c9bbdd59d1fe80c689be57b22bfd1c3f3c3b093f42a8e0949d6df4dc",
+    "compare_pgd:csv": "75d7a4a7d84c054eede1149eb72d0d61100e5c4c1f36d7c573f86b5338a1a56f",
+    "compare_pgd:json": "3090eeaa1029957b36fc96a99cb3bdabec9a31b974d80eabbda450ab416e5abc",
+    "diagnose:csv": "3cd4bf8338d7fc2bdc33f136ddff3425bf7c6ac36c1d1556a93639c11bc19aa2",
+    "diagnose:json": "2f1a2854ba13970165b110d5e665536f60334bc5482e2d560b741770ae5f9dcd",
     "multiscale:csv": "be7fa5729d60bc0e2fe10162bc36871f5ebc6aa1e69a2f224acc22692c4054a8",
     "multiscale:json": "78f43ad73c59c4310ea8bf15fd095a455b8bda65f68ac397ee81007ed0067404",
     "reports:adversarial": "eefd78785d9ea1373bdef2dd7c023bce5201db4accbbf4cfc3f143b5891168f6",

@@ -58,6 +58,28 @@ def test_sigma_scales_draws():
     assert np.allclose(z3, 3.0 * z1)
 
 
+@pytest.mark.parametrize(
+    "rows,cols",
+    [
+        (6 * rng._CHUNK // 16, 16),  # even rows: three windows of whole rows
+        (7, 5),  # odd rows of several columns: one block of all pairs
+        (2 * rng._CHUNK + 3, 1),  # one odd column: two windows
+    ],
+)
+def test_sigma_draw_is_sigma_times_unit_draw_bit_for_bit(rows, cols):
+    # diagnostics.tdi scales one unit draw to every sigma of its grid:
+    # fl(fl(r cos) * sigma) is sigma * fl(fl(r cos) * 1), so no bit moves.
+    state = RngState(31, 2)
+    unit = np.empty((1, rows, cols))
+    _normal_into((state,), unit, (1.0,))
+    flat, _ = normal(state, (rows, cols), 1.0)
+    for sigma in (1e-5, 3e-3, 0.01, 0.05, 0.2, 1.0, 7.5, 4e2, 1e6):
+        z = np.empty_like(unit)
+        _normal_into((state,), z, (sigma,))
+        assert z.tobytes() == (sigma * unit).tobytes()
+        assert normal(state, (rows, cols), sigma)[0].tobytes() == (sigma * flat).tobytes()
+
+
 # SHA-256 of shape, dtype and bytes of normal(RngState(2024, 3), shape, sigma),
 # recorded before the Box-Muller kernel was rewritten to work in place.  Odd
 # and even counts cover the dropped sine of the last pair.
