@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -38,7 +38,7 @@ from .diagnostics import (
 from .errors import ConfigError, UndertrainedModelError, ValidationError
 from .network import Layer, MlpEncoderDecoder, NetSpec, forward_with_trace, tangents
 from .experiments import (
-    ExperimentConfig, compare_metrics, default_config, run_capsweep, train_stacks
+    ExperimentConfig, compare_metrics, default_config, measure_cells, run_capsweep
 )
 from .objectives import TrainConfig, train
 from .rng import derive, gaussian_matrix, normal, uniform
@@ -722,23 +722,22 @@ def check_adversarial_geometry_signature(
     correlated-nuisance model with sign labels and cross-entropy loss, under
     which the plain-ERM encoder inflates its Jacobian (logit growth), the
     regime where adversarial training visibly redistributes sensitivity.
-    Every objective trains at seeds seed .. seed + n_seeds - 1, as one
-    stack per objective, and every net is measured by
-    experiments.compare_metrics: its tdi_at_0 and jac_fro_sq are the cells
-    run_compare gives at that seed, and the three nets of one seed share
-    their eval batch.  A diverged net reads NaN, which fails every
-    comparison, so it is a miss at its seed.
+    Every objective trains at seeds seed .. seed + n_seeds - 1 through
+    experiments.measure_cells, and every net is measured by
+    experiments.compare_metrics without the grid-sigma columns: its tdi_at_0
+    and jac_fro_sq are the cells run_compare gives at that seed, and the
+    three nets of one seed share their eval batch.  A diverged net reads
+    NaN, which fails every comparison, so it is a miss at its seed.
     """
     if n_seeds < 1:
         raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
     seeds = tuple(range(seed, seed + n_seeds))
+    config = replace(config, sigma_eval=())  # no grid-sigma TDI: the signature reads none
+    cells = [(config.train_config(m, s), m, s) for m in ("erm", "pgd", "pmh") for s in seeds]
     per_seed = {s: {} for s in seeds}
-    for objective in ("erm", "pgd", "pmh"):
-        cfgs = [config.train_config(objective, s) for s in seeds]
-        for s, trained in zip(seeds, train_stacks(config, cfgs)):
-            metrics = compare_metrics(config, objective, s, trained)
-            per_seed[s][f"tdi_{objective}"] = metrics.get("tdi_at_0", (math.nan,))[0]
-            per_seed[s][f"fro_{objective}"] = metrics.get("jac_fro_sq", (math.nan,))[0]
+    for (_, objective, s), metrics in zip(cells, measure_cells(config, compare_metrics, cells)):
+        per_seed[s][f"tdi_{objective}"] = metrics.get("tdi_at_0", (math.nan,))[0]
+        per_seed[s][f"fro_{objective}"] = metrics.get("jac_fro_sq", (math.nan,))[0]
     for v in per_seed.values():
         v["pgd_signature"] = v["fro_pgd"] < v["fro_erm"] and v["tdi_pgd"] >= v["tdi_erm"]
         v["pmh_signature"] = v["tdi_pmh"] <= v["tdi_erm"]

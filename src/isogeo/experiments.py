@@ -6,9 +6,12 @@ Configurations are flat ``key = value`` files with ``[section]`` headers
 Every experiment is a pure function of (config, seed): grid cells derive
 their own streams from a hash of the base seed and the cell key, so results
 are byte-identical across reruns and independent of worker scheduling.
-Cells that train nets of one shape train as stacks of at most STACK_SIZE
-(objectives.train_stack); a member of a stack ends exactly as it would
-alone, so stacking does not change results either.
+talign, multiscale and capsweep are a list of cells, each a TrainConfig
+plus the arguments of a measure function, run by measure_cells: it trains
+consecutive cells of one objective as stacks of at most STACK_SIZE
+(objectives.train_stack) and measures each net.  A member of a stack ends
+exactly as it would alone, so stacking does not change results either.
+compare trains one net at a time (see _compare_cells).
 Emitted files contain no timestamps and format floats with 17 significant
 digits, which round-trips float64 losslessly.
 """
@@ -16,6 +19,8 @@ digits, which round-trips float64 losslessly.
 from __future__ import annotations
 
 import configparser
+import functools
+import itertools
 import json
 import math
 import os
@@ -81,11 +86,8 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in OBJECTIVES]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; expected some of {list(OBJECTIVES)}")
-        grid = self.sigma_eval
-        if not all(0.0 <= s < math.inf for s in grid):
-            raise ConfigError(f"sigma_eval entries must be finite and >= 0, got {grid}")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("sigma_eval grid must be strictly increasing")
+        if not all(0.0 <= s < math.inf for s in self.sigma_eval):
+            raise ConfigError(f"sigma_eval entries must be finite and >= 0, got {self.sigma_eval}")
         counts = ("steps", "batch_size", "eval_rows", "mc_draws", "seeds_per_cell", "pgd_steps")
         below_one = [name for name in counts if getattr(self, name) < 1]
         if below_one:
@@ -108,6 +110,15 @@ class ExperimentConfig:
                 replace(base, **{key: value})
             except ValidationError as exc:
                 raise ConfigError(f"{name} entry {value}: {exc}") from exc
+        for name in ("sigma_eval", "sigma_train_grid"):  # read as increasing scales
+            grid = getattr(self, name)
+            if any(b <= a for a, b in zip(grid, grid[1:])):
+                raise ConfigError(f"{name} must be strictly increasing")
+        # Each entry labels one table row or column; a repeated label fills it twice.
+        for name in ("methods", "cap_grid", "sigma_train_grid", "sigma_eval"):
+            keys = [v if isinstance(v, str) else f"{v:g}" for v in getattr(self, name)]
+            if len(set(keys)) < len(keys):
+                raise ConfigError(f"{name} repeats a row or column label: {' '.join(keys)}")
 
     def model(self) -> dt.GaussianNuisanceModel:
         return dt.GaussianNuisanceModel.canonical(self.d_s, self.d_n, self.rho, self.sigma_eps)
@@ -402,18 +413,25 @@ def _run_cells(fn, config: "ExperimentConfig", cell_stacks: list) -> list:
     return [res for stack_results in results for res in stack_results]
 
 
-def train_stacks(config: "ExperimentConfig", cfgs: list) -> list:
-    """train_stack over cfgs cut into stacks of at most STACK_SIZE, with
-    the config's net spec and data source: per config, in order, its
-    (net, log) or its TrainingDivergedError."""
-    spec, source = config.net_spec(), config.data_source()
-    return [res for cells in stacks(cfgs) for res in train_stack(cells, spec, source)]
+def _train_and_measure(measure, config: "ExperimentConfig", cells: list) -> list[dict]:
+    """measure_cells on one stack: train it once, then measure each net."""
+    trained = train_stack([cell[0] for cell in cells], config.net_spec(), config.data_source())
+    return [
+        {"failed": True} if isinstance(res, TrainingDivergedError) else measure(config, *res, *args)
+        for (_, *args), res in zip(cells, trained)
+    ]
 
 
-def _spread(cells: list) -> list[list]:
-    """Stacks of cells that share their training settings, at least one per
-    pool worker so that none idles."""
-    return stacks(cells, _worker_count(len(cells)))
+def measure_cells(config: "ExperimentConfig", measure, cells: list) -> list[dict]:
+    """Train every cell (TrainConfig, *args) and measure its net: per cell, in
+    order, measure(config, net, log, *args), or {"failed": True} if the net
+    diverged.  Consecutive cells of one objective train as stacks, at least
+    one per pool worker; measure must be a module-level function, so that a
+    pool worker can be sent it."""
+    count = _worker_count(len(cells))
+    groups = itertools.groupby(cells, key=lambda cell: cell[0].objective)
+    cell_stacks = [stack for _, group in groups for stack in stacks(list(group), count)]
+    return _run_cells(functools.partial(_train_and_measure, measure), config, cell_stacks)
 
 
 # ---------------------------------------------------------------------------
@@ -427,33 +445,32 @@ def _eval_inputs(config: ExperimentConfig, seed: int) -> np.ndarray:
 
 
 def _compare_cells(config: ExperimentConfig, cells: list) -> list[dict]:
-    """Train each (method, seed) cell alone (methods differ, so they do not
-    stack) and measure the comparison metrics."""
+    """Train each (method, seed) cell alone through train and measure it.
+    Not measure_cells: the bench reads compare's per-step spans under
+    objectives.train, and its tracer gives train_stack no span; once it
+    does, compare becomes one cell per method of measure_cells."""
     spec, source = config.net_spec(), config.data_source()
     out = []
     for method, seed in cells:
         try:
             trained = train(config.train_config(method, seed), spec, source)
-        except TrainingDivergedError as exc:
-            trained = exc
-        out.append(compare_metrics(config, method, seed, trained))
+        except TrainingDivergedError:
+            out.append({"failed": True})
+        else:
+            out.append(compare_metrics(config, *trained, method, seed))
     return out
 
 
-def compare_metrics(config: ExperimentConfig, method: str, seed: int, trained) -> dict:
-    """The comparison metrics of one train_stack result, (net, log) or its
-    TrainingDivergedError ({"failed": True}), for method at seed.
+def compare_metrics(config: ExperimentConfig, net, log, method: str, seed: int) -> dict:
+    """The comparison columns of one net trained by method at seed.
 
     The eval batch, the test batch and the TDI draws all come from seed, so
     every method trained at one seed is measured on the same rows.
     """
-    if isinstance(trained, TrainingDivergedError):
-        return {"failed": True}
-    net, log = trained
     x_eval = _eval_inputs(config, seed)
     sigmas = [0.0, *config.sigma_eval]
     (zero, *grid), _ = tdi(net, x_eval, sigmas, config.mc_draws, derive(seed, "tdi0", method))
-    metrics = {"failed": False, "tdi_at_0": (zero.value, zero.se)}
+    metrics = {"tdi_at_0": (zero.value, zero.se)}
     for s, res in zip(config.sigma_eval, grid):
         metrics[f"tdi@{s:g}"] = (res.value, res.se)
     fro = jac_frobenius(net, x_eval[:256])
@@ -486,24 +503,17 @@ def run_compare(config: ExperimentConfig) -> ResultTable:
     return table
 
 
-def _talign_cells(config: ExperimentConfig, cells: list) -> list[dict]:
-    """Train a stack of PMH cells (sigma_train, seed) and measure each
-    one's TDI at every eval scale."""
-    cfgs = [config.train_config("pmh", seed, sigma_train=st) for st, seed in cells]
+def _tdi_columns(config: ExperimentConfig, net, log, seed: int, sigma_train) -> dict:
+    """TDI of one PMH net at every eval scale, on the base seed's eval rows:
+    the talign and multiscale columns."""
     x_eval = _eval_inputs(config, config.seed)
-    out = []
-    for (sigma_train, seed), trained in zip(cells, train_stacks(config, cfgs)):
-        if isinstance(trained, TrainingDivergedError):
-            out.append({"failed": True})
-            continue
-        metrics = {"failed": False}
-        for s in config.sigma_eval:
-            # one key per column, not one grid call: keeps the draws criterion 9 reads
-            key = derive(seed, "talign", sigma_train, s)
-            (res,), _ = tdi(trained[0], x_eval, [s], config.mc_draws, key)
-            metrics[f"eval@{s:g}"] = (res.value, res.se)
-        out.append(metrics)
-    return out
+    columns = {}
+    for s in config.sigma_eval:
+        # one key per column, not one grid call: keeps the draws criterion 9 reads
+        key = derive(seed, "talign", sigma_train, s)
+        (res,), _ = tdi(net, x_eval, [s], config.mc_draws, key)
+        columns[f"eval@{s:g}"] = (res.value, res.se)
+    return columns
 
 
 def _matches_diagonal(column: np.ndarray, grid_t, sigma_eval: float) -> bool:
@@ -556,13 +566,10 @@ def run_talign(config: ExperimentConfig) -> ResultTable:
     row_keys = [f"train@{s:g}" for s in grid_t]
     col_keys = [f"eval@{s:g}" for s in grid_e]
     table = ResultTable("talign", row_keys, col_keys, seed=config.seed)
-    cells = []
-    for st in grid_t:
-        for k in range(config.seeds_per_cell):
-            cell_seed = derive(config.seed, "talign-cell", st, k).seed
-            cells.append((st, cell_seed))
-    results = _run_cells(_talign_cells, config, _spread(cells))
     k = config.seeds_per_cell
+    keys = [(st, derive(config.seed, "talign-cell", st, i).seed) for st in grid_t for i in range(k)]
+    cells = [(config.train_config("pmh", seed, sigma_train=st), seed, st) for st, seed in keys]
+    results = measure_cells(config, _tdi_columns, cells)
     mean = np.full((len(grid_t), len(grid_e)), np.nan)
     for i, row in enumerate(row_keys):
         runs = [res for res in results[i * k:(i + 1) * k] if not res.get("failed")]
@@ -648,26 +655,17 @@ def alignment_verdict(config: ExperimentConfig, table: ResultTable) -> Alignment
     return AlignmentVerdict(knee, int(above.sum()), matched, full, _asymmetry_costs(mean))
 
 
-def _capsweep_cells(config: ExperimentConfig, cells: list) -> list[dict]:
-    """Train a stack of PMH cells (cap, seed) and measure each one's penalty
-    fraction, final task loss and TDI."""
-    cfgs = [replace(config.train_config("pmh", seed), cap=cap) for cap, seed in cells]
+def _cap_columns(config: ExperimentConfig, net, log, seed: int, cap: float) -> dict:
+    """Penalty fraction, its target, final task loss and TDI of one PMH net
+    trained at cap: the capsweep columns."""
     x_eval = _eval_inputs(config, config.seed)
-    out = []
-    for (cap, seed), trained in zip(cells, train_stacks(config, cfgs)):
-        if isinstance(trained, TrainingDivergedError):
-            out.append({"failed": True})
-            continue
-        net, log = trained
-        (zero,), _ = tdi(net, x_eval, [0.0], config.mc_draws, derive(seed, "cap-tdi", cap))
-        out.append({
-            "failed": False,
-            "fraction": (log.steady_state_fraction(), 0.0),
-            "target": (cap / (1.0 + cap), 0.0),
-            "final_task_loss": (float(log.task_loss[-100:].mean()), 0.0),
-            "tdi_at_0": (zero.value, zero.se),
-        })
-    return out
+    (zero,), _ = tdi(net, x_eval, [0.0], config.mc_draws, derive(seed, "cap-tdi", cap))
+    return {
+        "fraction": (log.steady_state_fraction(), 0.0),
+        "target": (cap / (1.0 + cap), 0.0),
+        "final_task_loss": (float(log.task_loss[-100:].mean()), 0.0),
+        "tdi_at_0": (zero.value, zero.se),
+    }
 
 
 def run_capsweep(config: ExperimentConfig) -> ResultTable:
@@ -677,8 +675,9 @@ def run_capsweep(config: ExperimentConfig) -> ResultTable:
     cols = ["fraction", "target", "final_task_loss", "tdi_at_0"]
     row_keys = [f"cap@{c:g}" for c in config.cap_grid]
     table = ResultTable("capsweep", row_keys, cols, seed=config.seed)
-    cells = [(cap, config.seed) for cap in config.cap_grid]
-    for row, res in zip(row_keys, _run_cells(_capsweep_cells, config, _spread(cells))):
+    base = config.train_config("pmh", config.seed)
+    cells = [(replace(base, cap=cap), config.seed, cap) for cap in config.cap_grid]
+    for row, res in zip(row_keys, measure_cells(config, _cap_columns, cells)):
         table.fill(row, res)
     table.validate_rectangular()
     return table
@@ -697,9 +696,10 @@ def run_multiscale(config: ExperimentConfig) -> ResultTable:
     rows = [f"train@{s:g}" for s in grid_t] + ["multiscale"]
     cols = [f"eval@{s:g}" for s in config.sigma_eval]
     table = ResultTable("multiscale", rows, cols, seed=config.seed)
-    cells = [(st, derive(config.seed, "ms", st).seed) for st in grid_t]
-    cells.append((tuple(config.sigma_range), derive(config.seed, "ms", "range").seed))
-    for row, res in zip(rows, _run_cells(_talign_cells, config, _spread(cells))):
+    keys = [(st, derive(config.seed, "ms", st).seed) for st in grid_t]
+    keys.append((tuple(config.sigma_range), derive(config.seed, "ms", "range").seed))
+    cells = [(config.train_config("pmh", seed, sigma_train=st), seed, st) for st, seed in keys]
+    for row, res in zip(rows, measure_cells(config, _tdi_columns, cells)):
         table.fill(row, res)
     table.validate_rectangular()
     return table

@@ -207,6 +207,15 @@ class TestTrainedChecksReadTheExperiments:
                 assert r.measured[f"seed={seed}:tdi_{method}"] == table.get(method, "tdi_at_0")[0]
                 assert r.measured[f"seed={seed}:fro_{method}"] == table.get(method, "jac_fro_sq")[0]
 
+    def test_signature_on_the_worker_pool_matches_serial(self, monkeypatch):
+        config = xp.ExperimentConfig(kind="compare", steps=60, mc_draws=8)
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ISOGEO_THREADS", threads)
+            r = ck.check_adversarial_geometry_signature(seed=22, n_seeds=2, config=config)
+            reports.append(r.to_dict())
+        assert reports[0] == reports[1]
+
     def test_cap_fractions_are_the_capsweep_column(self):
         caps = (0.1, 0.6)
         r = ck.check_cap_fixed_point(caps=caps, steps=200, seed=18)

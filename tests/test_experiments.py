@@ -10,6 +10,7 @@ import pytest
 from isogeo import _blas, cli
 from isogeo import experiments as xp
 from isogeo.errors import ConfigError
+from isogeo.objectives import train
 
 # The CLI runs in a child process, which imports isogeo from the source tree.
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -100,10 +101,23 @@ class TestConfigParsing:
             xp.parse_config("/nonexistent/exp.ini")
 
     def test_nonincreasing_sigma_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            small_config(sigma_eval=(0.1, 0.1))
-        with pytest.raises(ConfigError):
-            small_config(sigma_eval=(0.2, 0.1))
+        # talign reads its first and last rows and columns as the extreme scales
+        for field in ("sigma_eval", "sigma_train_grid"):
+            for grid in ((0.1, 0.1), (0.8, 0.05)):
+                with pytest.raises(ConfigError, match=f"{field} must be strictly increasing"):
+                    small_config(**{field: grid})
+
+    REPEATED = {
+        "methods": ("erm", "pgd", "erm"),
+        "cap_grid": (0.3, 0.3),
+        "sigma_train_grid": (0.1, 0.1000001),  # distinct values, one :g label
+        "sigma_eval": (0.1, 0.1000001),
+    }
+
+    @pytest.mark.parametrize("field", list(REPEATED))
+    def test_repeated_label_rejected_at_construction(self, field):
+        with pytest.raises(ConfigError, match=f"{field} repeats a row or column label"):
+            small_config(**{field: self.REPEATED[field]})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -312,6 +326,20 @@ class TestRunners:
         t_parallel = xp.run_experiment(cfg)
         assert t_serial.cells == t_parallel.cells
 
+    def test_measure_cells_matches_solo_training(self):
+        cfg = small_config()
+        keys = [("erm", 0), ("erm", 1), ("pmh", 0)]
+        cells = [(cfg.train_config(m, s), m, s) for m, s in keys]
+        spec, source = cfg.net_spec(), cfg.data_source()
+        for (m, s), got in zip(keys, xp.measure_cells(cfg, xp.compare_metrics, cells)):
+            net, log = train(cfg.train_config(m, s), spec, source)
+            assert got == xp.compare_metrics(cfg, net, log, m, s)
+
+    def test_measure_cells_marks_every_diverged_net_failed(self):
+        cfg = small_config(loss="mse", lr=1e6, steps=100)
+        cells = [(cfg.train_config(m, s), m, s) for m in ("erm", "pgd", "pmh") for s in (0, 1)]
+        assert xp.measure_cells(cfg, xp.compare_metrics, cells) == [{"failed": True}] * 6
+
     def test_pool_workers_run_blas_on_one_thread(self, monkeypatch, blas_threads):
         monkeypatch.setenv("ISOGEO_THREADS", "2")
         assert xp._run_cells(_blas_thread_counts, small_config(), [[0], [1]]) == [1, 1]
@@ -489,6 +517,14 @@ class TestCli:
         ("compare", "[train]\nmethods =", "compare needs at least one method"),
         ("capsweep", "[train]\ncap_grid =", "capsweep needs a nonempty cap grid"),
         ("multiscale", "[eval]\nsigma_eval =", "multiscale needs a nonempty sigma_eval grid"),
+        ("compare", "[train]\nmethods = erm pmh erm",
+         "methods repeats a row or column label: erm pmh erm"),
+        ("capsweep", "[train]\ncap_grid = 0.3 0.3",
+         "cap_grid repeats a row or column label: 0.3 0.3"),
+        ("talign", "[train]\nsigma_train_grid = 0.1 0.1000001",
+         "sigma_train_grid repeats a row or column label: 0.1 0.1"),
+        ("talign", "[train]\nsigma_train_grid = 0.8 0.05",
+         "sigma_train_grid must be strictly increasing"),
     ]
 
     @pytest.mark.parametrize("kind,lines,message", DEGENERATE)
