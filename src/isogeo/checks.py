@@ -38,9 +38,9 @@ from .diagnostics import (
 from .errors import ConfigError, UndertrainedModelError, ValidationError
 from .network import Layer, MlpEncoderDecoder, NetSpec, forward_with_trace, tangents
 from .experiments import (
-    ExperimentConfig, compare_metrics, default_config, measure_cells, run_capsweep
+    ExperimentConfig, compare_metrics, compare_rows, default_config, measure_cells, run_capsweep
 )
-from .objectives import TrainConfig, train
+from .objectives import OBJECTIVES, TrainConfig, train
 from .rng import derive, gaussian_matrix, normal, uniform
 
 # Family-wise false-fail rate of each Monte-Carlo check of an exact identity.
@@ -600,22 +600,21 @@ def check_proper_loss_drift_floor(
     classifier trained by cross-entropy on the toy must satisfy
     sigma^2 E||J||_F^2 >= sigma^2 Delta / L^2, with E||J||_F^2 the exact
     probability-weighted sum over the toy's support, so no SE allowance
-    enters.  Also verifies the enumeration against an explicit 8-cell hand
-    sum and the monotonicity of Delta in the dependence strength.
+    enters.  Also verifies the enumeration against the conditional mutual
+    information I(n; y | s) summed from the joint table, and the
+    monotonicity of Delta in the dependence strength.
     """
     toy = toy or dependent_toy()
     delta_exact = toy.kl_gap()
 
-    # Independent 8-cell enumeration (no reuse of the library path).
-    p_ys = toy.p_y_given_s()
+    # Oracle from the joint table alone, not kl_gap's p(y|s) path:
+    # I(n; y | s) = sum p(s,n,y) log[p(s,n,y) p(s) / (p(s,n) p(s,y))].
+    joint = toy.joint()
+    p_s, p_sn, p_sy = joint.sum(axis=(1, 2)), joint.sum(axis=2), joint.sum(axis=1)
     hand = 0.0
-    S, N, Y = toy.shape
-    for si in range(S):
-        for ni in range(N):
-            for yi in range(Y):
-                p = toy.p_y_given_x[si, ni, yi]
-                if p > 0:
-                    hand += toy.p_x[si, ni] * p * np.log(p / p_ys[si, yi])
+    for si, ni, yi in zip(*np.nonzero(joint)):
+        p = joint[si, ni, yi]
+        hand += p * np.log(p * p_s[si] / (p_sn[si, ni] * p_sy[si, yi]))
     enum_err = abs(hand - delta_exact)
 
     strengths = [0.2, 0.5, 0.8]
@@ -645,7 +644,7 @@ def check_proper_loss_drift_floor(
             "lipschitz": lip,
         },
         bounds={"drift_floor": rhs, "enumeration_tolerance": 1e-12},
-        n_samples={"train_steps": steps, "cells": S * N},
+        n_samples={"train_steps": steps, "cells": toy.p_x.size},
         seed=seed,
         detail="KL blindness gap lower-bounds trained-classifier drift",
     )
@@ -726,16 +725,17 @@ def check_adversarial_geometry_signature(
     experiments.measure_cells, and every net is measured by
     experiments.compare_metrics without the grid-sigma columns: its tdi_at_0
     and jac_fro_sq are the cells run_compare gives at that seed, and the
-    three nets of one seed share their eval batch.  A diverged net reads
+    three nets of one seed share one draw of its rows.  A diverged net reads
     NaN, which fails every comparison, so it is a miss at its seed.
     """
     if n_seeds < 1:
         raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
     seeds = tuple(range(seed, seed + n_seeds))
     config = replace(config, sigma_eval=())  # no grid-sigma TDI: the signature reads none
-    cells = [(config.train_config(m, s), m, s) for m in ("erm", "pgd", "pmh") for s in seeds]
+    rows = {s: compare_rows(config, s) for s in seeds}
+    cells = [(config.train_config(m, s), m, s, *rows[s]) for m in OBJECTIVES for s in seeds]
     per_seed = {s: {} for s in seeds}
-    for (_, objective, s), metrics in zip(cells, measure_cells(config, compare_metrics, cells)):
+    for (_, objective, s, *_), metrics in zip(cells, measure_cells(config, compare_metrics, cells)):
         per_seed[s][f"tdi_{objective}"] = metrics.get("tdi_at_0", (math.nan,))[0]
         per_seed[s][f"fro_{objective}"] = metrics.get("jac_fro_sq", (math.nan,))[0]
     for v in per_seed.values():

@@ -32,15 +32,15 @@ from .rng import derive, normal
 
 def _check_output(path: str, make_dirs: bool = False) -> None:
     """Refuse an output file before any work: a directory in its place, or a
-    parent that is missing (unless the writer makes it, ``make_dirs``) or is
-    not a directory."""
+    parent that is not a writable directory.  With ``make_dirs`` (the writer
+    makes missing parents) the nearest existing ancestor must be one."""
     if os.path.isdir(path):
         raise ConfigError(f"output path {path!r} is a directory")
     parent = os.path.dirname(os.path.abspath(path))
     while make_dirs and not os.path.exists(parent):
         parent = os.path.dirname(parent)
-    if not os.path.isdir(parent):
-        raise ConfigError(f"cannot write {path!r}: {parent!r} is missing or not a directory")
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write {path!r}: {parent!r} is not a writable directory")
 
 
 def _cmd_verify(args) -> int:

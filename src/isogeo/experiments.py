@@ -81,8 +81,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in RUNNERS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.loss not in ("mse", "cross-entropy"):
-            raise ConfigError(f"loss must be 'mse' or 'cross-entropy', got {self.loss!r}")
         unknown = [m for m in self.methods if m not in OBJECTIVES]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; expected some of {list(OBJECTIVES)}")
@@ -440,34 +438,45 @@ def measure_cells(config: "ExperimentConfig", measure, cells: list) -> list[dict
 
 
 def _eval_inputs(config: ExperimentConfig, seed: int) -> np.ndarray:
+    """The eval rows at seed, read-only: one draw serves every cell measured on them."""
     batch, _ = dt.sample(config.model(), config.eval_rows, derive(seed, "eval-batch"))
+    batch.x.flags.writeable = False
     return batch.x
 
 
+def compare_rows(config: ExperimentConfig, seed: int) -> tuple:
+    """(eval inputs, test batch) of compare_metrics at seed, read-only."""
+    test, _ = dt.sample(config.model(), 4096, derive(seed, "test-batch"))
+    test.x.flags.writeable = test.y.flags.writeable = False
+    return _eval_inputs(config, seed), test
+
+
 def _compare_cells(config: ExperimentConfig, cells: list) -> list[dict]:
-    """Train each (method, seed) cell alone through train and measure it.
-    Not measure_cells: the bench reads compare's per-step spans under
+    """Train each (method, seed, *rows) cell alone through train and measure
+    it.  Not measure_cells: the bench reads compare's per-step spans under
     objectives.train, and its tracer gives train_stack no span; once it
     does, compare becomes one cell per method of measure_cells."""
     spec, source = config.net_spec(), config.data_source()
     out = []
-    for method, seed in cells:
+    for method, seed, *rows in cells:
         try:
             trained = train(config.train_config(method, seed), spec, source)
         except TrainingDivergedError:
             out.append({"failed": True})
         else:
-            out.append(compare_metrics(config, *trained, method, seed))
+            out.append(compare_metrics(config, *trained, method, seed, *rows))
     return out
 
 
-def compare_metrics(config: ExperimentConfig, net, log, method: str, seed: int) -> dict:
-    """The comparison columns of one net trained by method at seed.
+def compare_metrics(
+    config: ExperimentConfig, net, log, method: str, seed: int, x_eval: np.ndarray, test
+) -> dict:
+    """The comparison columns of one net trained by method at seed, measured
+    on compare_rows(config, seed).
 
     The eval batch, the test batch and the TDI draws all come from seed, so
     every method trained at one seed is measured on the same rows.
     """
-    x_eval = _eval_inputs(config, seed)
     sigmas = [0.0, *config.sigma_eval]
     (zero, *grid), _ = tdi(net, x_eval, sigmas, config.mc_draws, derive(seed, "tdi0", method))
     metrics = {"tdi_at_0": (zero.value, zero.se)}
@@ -476,14 +485,13 @@ def compare_metrics(config: ExperimentConfig, net, log, method: str, seed: int) 
     fro = jac_frobenius(net, x_eval[:256])
     metrics["jac_fro_sq"] = (fro.value, fro.se)
     metrics["lipschitz"] = (lipschitz_track(net).value, 0.0)
-    b_test, _ = dt.sample(config.model(), 4096, derive(seed, "test-batch"))
-    pred_t, _ = forward_with_trace(net, b_test.x)
+    pred_t, _ = forward_with_trace(net, test.x)
     if config.loss == "cross-entropy":
-        labels = dt.threshold_labels(b_test.y)
+        labels = dt.threshold_labels(test.y)
         acc = float(np.mean(np.argmax(pred_t, axis=1) == labels))
         metrics["task_metric"] = (acc, 0.0)
     else:
-        mse = float(np.mean((pred_t[:, 0] - b_test.y) ** 2))
+        mse = float(np.mean((pred_t[:, 0] - test.y) ** 2))
         metrics["task_metric"] = (mse, 0.0)
     metrics["final_task_loss"] = (float(log.task_loss[-100:].mean()), 0.0)
     return metrics
@@ -496,17 +504,17 @@ def run_compare(config: ExperimentConfig) -> ResultTable:
     if not config.methods:
         raise ConfigError("compare needs at least one method")
     table = ResultTable("compare", list(config.methods), cols, seed=config.seed)
-    cells = [[(m, config.seed)] for m in config.methods]
+    rows = compare_rows(config, config.seed)
+    cells = [[(m, config.seed, *rows)] for m in config.methods]
     for method, metrics in zip(config.methods, _run_cells(_compare_cells, config, cells)):
         table.fill(method, metrics)
     table.validate_rectangular()
     return table
 
 
-def _tdi_columns(config: ExperimentConfig, net, log, seed: int, sigma_train) -> dict:
-    """TDI of one PMH net at every eval scale, on the base seed's eval rows:
-    the talign and multiscale columns."""
-    x_eval = _eval_inputs(config, config.seed)
+def _tdi_columns(config: ExperimentConfig, net, log, seed: int, sigma_train, x_eval) -> dict:
+    """TDI of one PMH net at every eval scale, on the base seed's eval rows
+    x_eval: the talign and multiscale columns."""
     columns = {}
     for s in config.sigma_eval:
         # one key per column, not one grid call: keeps the draws criterion 9 reads
@@ -568,7 +576,8 @@ def run_talign(config: ExperimentConfig) -> ResultTable:
     table = ResultTable("talign", row_keys, col_keys, seed=config.seed)
     k = config.seeds_per_cell
     keys = [(st, derive(config.seed, "talign-cell", st, i).seed) for st in grid_t for i in range(k)]
-    cells = [(config.train_config("pmh", seed, sigma_train=st), seed, st) for st, seed in keys]
+    x_eval = _eval_inputs(config, config.seed)
+    cells = [(config.train_config("pmh", s, sigma_train=st), s, st, x_eval) for st, s in keys]
     results = measure_cells(config, _tdi_columns, cells)
     mean = np.full((len(grid_t), len(grid_e)), np.nan)
     for i, row in enumerate(row_keys):
@@ -655,10 +664,9 @@ def alignment_verdict(config: ExperimentConfig, table: ResultTable) -> Alignment
     return AlignmentVerdict(knee, int(above.sum()), matched, full, _asymmetry_costs(mean))
 
 
-def _cap_columns(config: ExperimentConfig, net, log, seed: int, cap: float) -> dict:
-    """Penalty fraction, its target, final task loss and TDI of one PMH net
-    trained at cap: the capsweep columns."""
-    x_eval = _eval_inputs(config, config.seed)
+def _cap_columns(config: ExperimentConfig, net, log, seed: int, cap: float, x_eval) -> dict:
+    """Penalty fraction, its target, final task loss and TDI on x_eval of one
+    PMH net trained at cap: the capsweep columns."""
     (zero,), _ = tdi(net, x_eval, [0.0], config.mc_draws, derive(seed, "cap-tdi", cap))
     return {
         "fraction": (log.steady_state_fraction(), 0.0),
@@ -676,7 +684,8 @@ def run_capsweep(config: ExperimentConfig) -> ResultTable:
     row_keys = [f"cap@{c:g}" for c in config.cap_grid]
     table = ResultTable("capsweep", row_keys, cols, seed=config.seed)
     base = config.train_config("pmh", config.seed)
-    cells = [(replace(base, cap=cap), config.seed, cap) for cap in config.cap_grid]
+    x_eval = _eval_inputs(config, config.seed)
+    cells = [(replace(base, cap=cap), config.seed, cap, x_eval) for cap in config.cap_grid]
     for row, res in zip(row_keys, measure_cells(config, _cap_columns, cells)):
         table.fill(row, res)
     table.validate_rectangular()
@@ -698,7 +707,8 @@ def run_multiscale(config: ExperimentConfig) -> ResultTable:
     table = ResultTable("multiscale", rows, cols, seed=config.seed)
     keys = [(st, derive(config.seed, "ms", st).seed) for st in grid_t]
     keys.append((tuple(config.sigma_range), derive(config.seed, "ms", "range").seed))
-    cells = [(config.train_config("pmh", seed, sigma_train=st), seed, st) for st, seed in keys]
+    x_eval = _eval_inputs(config, config.seed)
+    cells = [(config.train_config("pmh", s, sigma_train=st), s, st, x_eval) for st, s in keys]
     for row, res in zip(rows, measure_cells(config, _tdi_columns, cells)):
         table.fill(row, res)
     table.validate_rectangular()

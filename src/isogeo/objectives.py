@@ -8,9 +8,10 @@ isotropic Gaussian input noise,
     delta_i ~ N(0, sigma^2 I),
 
 whose first-order value is sigma^2 E||J_phi||_F^2, i.e. a uniform Frobenius
-penalty on the encoder Jacobian.  The total PMH objective averages the clean
-and noisy task views (so the penalty-free, zero-noise configuration is
-step-identical to ERM) and adds lam * w(t) * L_pmh, where w(t) is a warmup
+penalty on the encoder Jacobian.  An objective only picks a step's task
+views, which train alike with weight 1 / len(views): [x] (ERM), [x + its
+attack] (PGD), [x, x + delta] (PMH, so at zero noise and no penalty it is
+step-identical to ERM).  PMH adds lam * w(t) * L_pmh, where w(t) is a warmup
 ramp and lam is rescaled per step so the logged penalty never exceeds
 cap * task loss.  At steady state that rescaling pins the penalty fraction
 to cap / (1 + cap).
@@ -124,27 +125,12 @@ def warmup_weight(t: int, schedule: WarmupSchedule) -> float:
 # ---------------------------------------------------------------------------
 
 
-def pmh_loss(
-    net: MlpEncoderDecoder,
-    x: np.ndarray,
-    sigma,
-    rng,
-) -> tuple:
-    """Representation-matching penalty on the encoder output and its encoder
-    gradients.
-
-    One fresh noise row per batch row; gradients flow through both the clean
-    and the noisy branch.  Returns (value, grads, x_noisy, rng) so the caller
-    can reuse the perturbed batch for the noisy task view.  For a stack, x is
-    (K, n, d), sigma and rng hold one entry per member, each member's noise
-    comes from its own stream (one normal_stack call draws them all), and
-    value and rng come back per member.
-    """
-    stacked = bool(net.models)
-    sigmas, rngs = (sigma, rng) if stacked else ((sigma,), (rng,))
+def pmh_loss(net: MlpEncoderDecoder, x: np.ndarray, x_noisy: np.ndarray) -> tuple:
+    """Representation-matching penalty mean_i ||phi(x_i) - phi(x_noisy_i)||^2
+    between two views of a batch, and its encoder gradients through both.
+    Draws nothing: the caller makes x_noisy.  For a stack, x and x_noisy are
+    (K, n, d) and the value holds one entry per member."""
     n = x.shape[-2]
-    delta, rngs = normal_stack(rngs, x.shape[-2:], sigmas)
-    x_noisy = x + (delta if stacked else delta[0])
     trace_c = encoder_forward(net, x)
     trace_n = encoder_forward(net, x_noisy)
     diff = trace_c[-1] - trace_n[-1]
@@ -152,7 +138,7 @@ def pmh_loss(
     up = 2.0 * diff / n
     grads = encoder_backward(net, x, trace_c, up)
     grads.add_(encoder_backward(net, x_noisy, trace_n, -up))
-    return value, grads, x_noisy, rngs if stacked else rngs[0]
+    return value, grads
 
 
 def cap_rescale(l_task: float, l_pmh_raw: float, lam: float, cap: float) -> float:
@@ -261,6 +247,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValidationError(f"objective must be one of {OBJECTIVES}")
+        if self.loss not in _LOSSES:
+            raise ValidationError(f"loss must be one of {tuple(_LOSSES)}, got {self.loss!r}")
         floats = {"lr": self.lr, "lam": self.lam, "cap": self.cap,
                   "sigma_train": self.sigma_train, "pgd epsilon": self.pgd.epsilon}
         for name, value in floats.items():
@@ -388,44 +376,31 @@ def train_stack(configs, spec: NetSpec, data_source) -> list:
             w_t = warmup_weight(t, head.warmup)
 
             if head.objective == "erm":
-                pred, trace = forward_with_trace(stack, x)
-                l_task, g_pred = task_loss(pred, y, head.loss)
-                grads = backward(stack, x, trace, g_pred)
-                pmh_term = lam_eff = np.zeros(len(members))
-
+                views = [x]
             elif head.objective == "pgd":
-                delta = pgd_attack(
-                    stack,
-                    x,
-                    y,
-                    head.pgd.epsilon,
-                    head.pgd.steps,
-                    head.pgd.epsilon / 4.0,
-                    head.loss,
-                )
-                x_adv = x + delta
-                pred, trace = forward_with_trace(stack, x_adv)
-                l_task, g_pred = task_loss(pred, y, head.loss)
-                grads = backward(stack, x_adv, trace, g_pred)
-                pmh_term = lam_eff = np.zeros(len(members))
-
-            else:  # pmh
+                eps = head.pgd.epsilon
+                views = [x + pgd_attack(stack, x, y, eps, head.pgd.steps, eps / 4.0, head.loss)]
+            else:  # pmh: the clean batch and its noisy copy, each member at its step sigma
                 sigma = []
                 for m in members:
                     sigma_t, m.sigma = _sigma_for_step(m.config, m.sigma)
                     sigma.append(sigma_t)
-                l_raw, pmh_grads, x_noisy, noise = pmh_loss(
-                    stack, x, sigma, [m.noise for m in members]
-                )
+                delta, noise = normal_stack([m.noise for m in members], x.shape[-2:], sigma)
                 for m, rng in zip(members, noise):
                     m.noise = rng
-                pred, trace = forward_with_trace(stack, x)
-                l_clean, g_pred = task_loss(pred, y, head.loss)
-                pred_n, trace_n = forward_with_trace(stack, x_noisy)
-                l_noisy, g_pred_n = task_loss(pred_n, y, head.loss)
-                l_task = 0.5 * (l_clean + l_noisy)
-                grads = backward(stack, x, trace, 0.5 * g_pred)
-                grads.add_(backward(stack, x_noisy, trace_n, 0.5 * g_pred_n))
+                views = [x, x + delta]
+
+            scale = 1.0 / len(views)
+            for i, v in enumerate(views):  # sums start at view 0: a -0.0 loss stays
+                pred, trace = forward_with_trace(stack, v)
+                l_view, g_pred = task_loss(pred, y, head.loss)
+                g = backward(stack, v, trace, scale * g_pred)
+                l_task, grads = (l_view, g) if i == 0 else (l_task + l_view, grads.add_(g))
+            l_task = scale * l_task
+            pmh_term = lam_eff = np.zeros(len(members))
+
+            if head.objective == "pmh":
+                l_raw, pmh_grads = pmh_loss(stack, *views)
                 lam_eff = np.array([
                     cap_rescale(float(task), float(raw), m.config.lam * w_t, m.config.cap)
                     for m, task, raw in zip(members, l_task, l_raw)
@@ -474,12 +449,13 @@ def train(
     (see train_stack).
 
     ``data_source(states, n) -> (x, y, states)`` supplies fresh batches, as
-    for train_stack with K = 1.  The objective selects the per-step loss:
+    for train_stack with K = 1.  The objective selects the task views of
+    each step, whose task losses are averaged:
 
-    * erm:  task loss on the clean batch.
-    * pgd:  task loss at x + delta with delta from the inner l-infinity attack.
-    * pmh:  mean of the clean and noisy task views
-            plus the capped, warmed-up matching penalty.
+    * erm:  the clean batch x.
+    * pgd:  x + delta, with delta from the inner l-infinity attack.
+    * pmh:  x and x + delta with delta ~ N(0, sigma^2 I), plus the capped,
+            warmed-up matching penalty pmh_loss(net, x, x + delta).
 
     Raises TrainingDivergedError with the step index if the loss goes
     non-finite.

@@ -176,6 +176,20 @@ class TestMainChecks:
         assert r.measured["enumeration_error"] <= 1e-12
         assert r.measured["drift_lhs"] >= r.bounds["drift_floor"]
 
+    def test_proper_loss_oracle_catches_a_wrong_conditional(self, monkeypatch):
+        # kl_gap reads p(y|s); the oracle reads only the joint table, so an
+        # error in p(y|s) must show as an enumeration error.
+        real = ck.dt.DiscreteNuisanceToy.p_y_given_s
+
+        def perturbed(toy):
+            p = real(toy)
+            return p + 1e-6 * np.array([1.0, -1.0])
+
+        monkeypatch.setattr(ck.dt.DiscreteNuisanceToy, "p_y_given_s", perturbed)
+        r = ck.check_proper_loss_drift_floor(seed=0, steps=20)
+        assert r.measured["enumeration_error"] > 1e-12
+        assert not r.passed
+
     def test_subspace_recovery(self):
         r = ck.check_nuisance_subspace_recovery(seed=0)
         assert r.passed

@@ -329,16 +329,52 @@ class TestRunners:
     def test_measure_cells_matches_solo_training(self):
         cfg = small_config()
         keys = [("erm", 0), ("erm", 1), ("pmh", 0)]
-        cells = [(cfg.train_config(m, s), m, s) for m, s in keys]
+        rows = {s: xp.compare_rows(cfg, s) for s in (0, 1)}
+        cells = [(cfg.train_config(m, s), m, s, *rows[s]) for m, s in keys]
         spec, source = cfg.net_spec(), cfg.data_source()
         for (m, s), got in zip(keys, xp.measure_cells(cfg, xp.compare_metrics, cells)):
             net, log = train(cfg.train_config(m, s), spec, source)
-            assert got == xp.compare_metrics(cfg, net, log, m, s)
+            assert got == xp.compare_metrics(cfg, net, log, m, s, *xp.compare_rows(cfg, s))
 
     def test_measure_cells_marks_every_diverged_net_failed(self):
         cfg = small_config(loss="mse", lr=1e6, steps=100)
-        cells = [(cfg.train_config(m, s), m, s) for m in ("erm", "pgd", "pmh") for s in (0, 1)]
+        rows = {s: xp.compare_rows(cfg, s) for s in (0, 1)}
+        cells = [(cfg.train_config(m, s), m, s, *rows[s])
+                 for m in ("erm", "pgd", "pmh") for s in (0, 1)]
         assert xp.measure_cells(cfg, xp.compare_metrics, cells) == [{"failed": True}] * 6
+
+    @staticmethod
+    def _count_row_draws(monkeypatch):
+        """The row counts of every data.sample call the experiments make."""
+        drawn = []
+        real = xp.dt.sample
+
+        def sample(model, n, rng):
+            drawn.append(n)
+            return real(model, n, rng)
+
+        monkeypatch.setattr(xp.dt, "sample", sample)
+        return drawn
+
+    def test_talign_draws_its_eval_rows_once(self, monkeypatch):
+        drawn = self._count_row_draws(monkeypatch)
+        xp.run_talign(small_config(kind="talign", loss="mse", steps=20))  # 2 scales x 2 seeds
+        assert drawn == [64]
+
+    def test_signature_draws_eval_and_test_rows_once_per_seed(self, monkeypatch):
+        from isogeo import checks as ck
+
+        drawn = self._count_row_draws(monkeypatch)
+        config = xp.ExperimentConfig(kind="compare", steps=20, eval_rows=48, mc_draws=2)
+        ck.check_adversarial_geometry_signature(seed=5, n_seeds=2, config=config)
+        assert sorted(drawn) == [48, 48, 4096, 4096]
+
+    def test_measurement_rows_are_read_only(self):
+        cfg = small_config()
+        x_eval, test = xp.compare_rows(cfg, 0)
+        for a in (x_eval, test.x, test.y):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     def test_pool_workers_run_blas_on_one_thread(self, monkeypatch, blas_threads):
         monkeypatch.setenv("ISOGEO_THREADS", "2")
@@ -544,6 +580,19 @@ class TestCli:
         assert not outdir.exists()
 
     @staticmethod
+    def _deny_writes(monkeypatch, denied):
+        """os.access that refuses write access to the directory denied (root
+        ignores mode bits, so a chmod cannot show this as root)."""
+        real = os.access
+
+        def access(path, mode, *args, **kwargs):
+            if mode & os.W_OK and os.path.abspath(path) == str(denied):
+                return False
+            return real(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "access", access)
+
+    @staticmethod
     def _assert_refused_before_work(rc, capsys):
         out, err = capsys.readouterr()
         assert rc == 2
@@ -608,22 +657,26 @@ class TestCli:
         monkeypatch.setattr(_blas, "_openblas", lambda: None)  # leaves BLAS at 2 threads
         assert report("two") == one
 
-    @pytest.mark.parametrize("out", ["existing_dir", "missing/reports.json"])
-    def test_verify_bad_out_exit_two_before_any_check(self, tmp_path, capsys, out):
+    @pytest.mark.parametrize("out", ["existing_dir", "missing/reports.json", "ro/reports.json"])
+    def test_verify_bad_out_exit_two_before_any_check(self, tmp_path, capsys, monkeypatch, out):
         (tmp_path / "existing_dir").mkdir()
+        (tmp_path / "ro").mkdir()
+        self._deny_writes(monkeypatch, tmp_path / "ro")
         rc = cli.main(["verify", "--checks", "subblock_inequality",
                        "--out", str(tmp_path / out)])
         self._assert_refused_before_work(rc, capsys)
 
-    @pytest.mark.parametrize("out", ["existing_dir", "r.json", "missing/r.json"])
+    @pytest.mark.parametrize("out", ["existing_dir", "r.json", "missing/r.json", "ro/r.json"])
     def test_diagnose_bad_out_exit_two_before_any_work(self, tmp_path, capsys, monkeypatch, out):
         from isogeo.network import NetSpec, init_network, save_params
         from isogeo.rng import RngState
 
         (tmp_path / "existing_dir").mkdir()
         (tmp_path / "r.csv").mkdir()  # the CSV sibling of r.json
+        (tmp_path / "ro").mkdir()
         model = str(tmp_path / "m.bin")
         save_params(init_network(NetSpec(4, (3,), 2), RngState(0))[0], model)
+        self._deny_writes(monkeypatch, tmp_path / "ro")
         calls = []
         monkeypatch.setattr(cli, "diagnose", lambda *a, **k: calls.append(a))
         rc = cli.main(["diagnose", "--model", model, "--sigma-grid", "0.1",
@@ -631,17 +684,37 @@ class TestCli:
         self._assert_refused_before_work(rc, capsys)
         assert calls == []
 
-    @pytest.mark.parametrize("outdir", ["a_file", "a_file/sub", "out"])
+    @pytest.mark.parametrize("outdir", ["a_file", "a_file/sub", "out", "ro", "ro/new/sub"])
     def test_experiment_bad_outdir_exit_two_before_training(
         self, tmp_path, capsys, monkeypatch, outdir
     ):
         (tmp_path / "a_file").write_text("")
         (tmp_path / "out" / "compare.json").mkdir(parents=True)  # a directory, not a table
+        (tmp_path / "ro").mkdir()
+        self._deny_writes(monkeypatch, tmp_path / "ro")
         cfgf = tmp_path / "c.ini"
         cfgf.write_text(f"[experiment]\nkind = compare\noutdir = {tmp_path / outdir}\n")
         calls = []
         monkeypatch.setattr(xp, "run_experiment", lambda *a, **k: calls.append(a))
         rc = cli.main(["compare", "--config", str(cfgf)])
+        self._assert_refused_before_work(rc, capsys)
+        assert calls == []
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root ignores mode bits"
+    )
+    def test_read_only_outdir_exit_two_before_training(self, tmp_path, capsys, monkeypatch):
+        ro = tmp_path / "ro"
+        ro.mkdir()
+        cfgf = tmp_path / "c.ini"
+        cfgf.write_text(f"[experiment]\nkind = compare\noutdir = {ro / 'sub'}\n")
+        calls = []
+        monkeypatch.setattr(xp, "run_experiment", lambda *a, **k: calls.append(a))
+        ro.chmod(0o555)
+        try:
+            rc = cli.main(["compare", "--config", str(cfgf)])
+        finally:
+            ro.chmod(0o755)
         self._assert_refused_before_work(rc, capsys)
         assert calls == []
 

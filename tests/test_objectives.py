@@ -63,15 +63,18 @@ class TestWarmup:
             WarmupSchedule(0, 0)
 
 
+def _noisy(x, sigma, rng):
+    """x plus one fresh N(0, sigma^2) noise row per batch row."""
+    delta, _ = normal(rng, x.shape, sigma)
+    return x + delta
+
+
 class TestPmhLoss:
-    def test_sigma_zero_is_exactly_zero(self):
-        net, _ = __import__("isogeo.network", fromlist=["init_network"]).init_network(
-            NetSpec(4, (6,), 3), RngState(1)
-        )
+    def test_identical_views_are_exactly_zero(self):
+        net, _ = init_network(NetSpec(4, (6,), 3), RngState(1))
         x, _ = normal(RngState(2), (5, 4))
-        val, grads, x_noisy, _ = pmh_loss(net, x, 0.0, RngState(3))
+        val, grads = pmh_loss(net, x, x)
         assert val == 0.0
-        assert np.array_equal(x_noisy, x)
         for dw, db in grads.encoder:
             assert np.all(dw == 0) and np.all(db == 0)
 
@@ -81,7 +84,7 @@ class TestPmhLoss:
             Layer(np.ones((1, 3)), np.zeros(1), "identity"),
         )
         x, _ = normal(RngState(4), (6, 4))
-        val, _, _, _ = pmh_loss(net, x, 0.5, RngState(5))
+        val, _ = pmh_loss(net, x, _noisy(x, 0.5, RngState(5)))
         assert val == 0.0
 
     def test_linear_layer_trace_oracle(self):
@@ -97,23 +100,22 @@ class TestPmhLoss:
         calls = 150  # each call averages 8 fresh noise rows
         vals = np.zeros(calls)
         for i in range(calls):
-            v, _, _, rng = pmh_loss(net, x, sigma, rng)
-            vals[i] = v
+            delta, rng = normal(rng, x.shape, sigma)
+            vals[i], _ = pmh_loss(net, x, x + delta)
         exact = sigma**2 * np.sum(w**2)
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean() - exact) < 3 * se
 
     def test_gradient_matches_fd(self):
-        from isogeo.network import init_network
-
         net, _ = init_network(NetSpec(4, (6,), 3), RngState(9))
         x, _ = normal(RngState(10), (5, 4))
-        val, grads, _, _ = pmh_loss(net, x, 0.2, RngState(11))
+        x_noisy = _noisy(x, 0.2, RngState(11))
+        val, grads = pmh_loss(net, x, x_noisy)
         assert val > 0
         eps = 1e-6
 
         def value_at(n):
-            v, _, _, _ = pmh_loss(n, x, 0.2, RngState(11))
+            v, _ = pmh_loss(n, x, x_noisy)
             return v
 
         n2 = net.copy()
@@ -122,6 +124,18 @@ class TestPmhLoss:
         n3.encoder[0].weight[0, 0] -= eps
         fd = (value_at(n2) - value_at(n3)) / (2 * eps)
         assert grads.encoder[0][0][0, 0] == pytest.approx(fd, rel=1e-4, abs=1e-10)
+
+    def test_stack_matches_solo_calls_bit_for_bit(self):
+        spec = NetSpec(4, (6,), 3)
+        nets = [init_network(spec, RngState(30 + k))[0] for k in range(3)]
+        x, rng = normal(RngState(33), (3, 5, 4))
+        delta, _ = normal(rng, (3, 5, 4), 0.2)
+        value, grads = pmh_loss(stack_networks(nets), x, x + delta)
+        for k, net in enumerate(nets):
+            solo_value, solo = pmh_loss(net, x[k], x[k] + delta[k])
+            assert value[k] == solo_value
+            for (dw, db), (sw, sb) in zip(grads.encoder, solo.encoder):
+                assert np.array_equal(dw[k], sw) and np.array_equal(db[k], sb)
 
 
 class TestCappedPenaltyScale:
@@ -135,7 +149,7 @@ class TestCappedPenaltyScale:
     L_TASK = 0.7
 
     def _capped_grad(self, net, x, sigma):
-        value, grads, _, _ = pmh_loss(net, x, sigma, RngState(21))
+        value, grads = pmh_loss(net, x, _noisy(x, sigma, RngState(21)))
         lam_eff = cap_rescale(self.L_TASK, value, 1e6, self.CAP)
         assert lam_eff * value == pytest.approx(self.CAP * self.L_TASK)  # cap binds
         g = grads.scaled(lam_eff)
@@ -279,6 +293,10 @@ def gauss_model():
 
 
 class TestTrain:
+    def test_unknown_loss_rejected_at_construction(self):
+        with pytest.raises(ValidationError, match="loss"):
+            TrainConfig(loss="hinge")
+
     def test_erm_linear_reaches_bayes_floor(self, gauss_model):
         spec = NetSpec(input_dim=8, hidden=(), rep_dim=4, out_dim=1, activation="identity")
         cfg = TrainConfig(objective="erm", lr=0.02, steps=4000, batch_size=64, seed=0)
